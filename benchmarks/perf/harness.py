@@ -1,9 +1,9 @@
 """Timing driver: run the perf workloads and emit ``BENCH_perf.json``.
 
-The report schema (version 4)::
+The report schema (version 5)::
 
     {
-      "version": 4,
+      "version": 5,
       "workloads": {
         "<name>": {
           "wall_s": <median-repetition wall clock, seconds>,
@@ -17,12 +17,18 @@ The report schema (version 4)::
         ...
       },
       "scaling": {              # optional: --scaling / run_scaling()
-        "workload": "million_ue",
-        "n_ues": <population size of the shard-count grid>,
-        "points": [             # one per shard count, same seed
-          {"shards": N, "n_ues": ..., "wall_s": ..., "events": ...,
-           "events_per_sec": ..., "bytes": ..., "bytes_per_sec": ...,
-           "per_ue_ms": <wall_s × shards ÷ n_ues, in ms>,
+        "workload": "million_ue_hetero",
+        "n_ues": <population size of the worker-count grid>,
+        "schedule": "steal" | "static",
+        "chunk_ues": <pinned chunk size, or null for auto-sized>,
+        "cpu_count": <os.cpu_count() of the measuring host>,
+        "points": [             # one per worker count, same seed
+          {"shards": N, "n_ues": ..., "schedule": ..., "chunk_ues": ...,
+           "wall_s": ..., "cpu_s": <summed worker CPU seconds>,
+           "events": ..., "events_per_sec": ..., "bytes": ...,
+           "bytes_per_sec": ...,
+           "per_ue_ms": <wall_s ÷ n_ues, in ms>,
+           "cpu_per_ue_ms": <cpu_s ÷ n_ues, in ms>,
            "rss_max_bytes": <peak worker RSS>,
            "reconciles": true, "settled": <Algorithm 1 bytes>,
            "matches_first": true},
@@ -35,21 +41,28 @@ The report schema (version 4)::
       }
     }
 
-Version 3 added the optional ``scaling`` section: the ``million_ue``
-population cell measured at several shard counts through
+Version 3 added the optional ``scaling`` section: a population cell
+measured at several worker counts through
 :func:`repro.experiments.sharding.scaling_curve`.  ``invariant`` is the
-merge contract — every shard count must produce the byte-identical
+merge contract — every worker count must produce the byte-identical
 merged accounting table and Algorithm 1 settlement — so a report with
 ``"invariant": false`` is a correctness failure, not a perf number.
 
-Version 4 adds ``per_ue_ms`` (normalized per-UE compute cost) and
-``n_ues`` to every scaling point, and the optional **headline point**:
-setting ``MILLION_UE_HEADLINE=<n_ues>`` appends one analytic-mode
-population run at that size on a single shard — the paper-scale
-million-UE measurement (``MILLION_UE_HEADLINE=1000000``).  The
-headline point must still reconcile exactly; it is its own curve, so
-``matches_first`` is trivially true and ``invariant`` still means
+Version 4 added per-point ``n_ues`` and the optional **headline
+point**: setting ``MILLION_UE_HEADLINE=<n_ues>`` appends one
+analytic-mode population run at that size on a single shard — the
+paper-scale million-UE measurement (``MILLION_UE_HEADLINE=1000000``).
+The headline point must still reconcile exactly; it is its own curve,
+so ``matches_first`` is trivially true and ``invariant`` still means
 "every curve is internally consistent".
+
+Version 5 splits per-UE cost in two.  ``per_ue_ms`` is **wall ÷ UEs**,
+what the operator waits per UE (v4's ``per_ue_ms`` was wall × shards
+÷ UEs).  ``cpu_per_ue_ms`` is ``cpu_s`` ÷ UEs, where ``cpu_s`` sums
+each fold's ``time.process_time()`` delta over every shard or chunk.
+The section also records the ``schedule`` (work-stealing by default)
+and ``chunk_ues``, and the host's ``cpu_count``: on a one-core host
+the wall ratios measure scheduler overhead, not speedup.
 
 ``wall_s`` is the **median** of ``repeats`` executions after one
 untimed warmup.  The warmup absorbs one-time costs (imports, allocator
@@ -219,7 +232,7 @@ def run_scaling(
     :func:`repro.experiments.sharding.run_sharded_scenario` on one
     shared warm pool — by default the work-stealing chunk scheduler
     on a **skewed heterogeneous** population (the load shape stealing
-    exists for) — recording wall clock, summed worker compute
+    exists for) — recording wall clock, summed worker CPU time
     (``cpu_s``), event/byte rates, peak worker RSS, the merged
     accounting identity, and whether the merged state is
     byte-identical to the first point's (``matches_first`` — the

@@ -73,6 +73,16 @@ class FrameModel:
             mu_iframe = mu_pframe = math.log(max(mean, 1.0))
         object.__setattr__(self, "_mu_iframe", mu_iframe)
         object.__setattr__(self, "_mu_pframe", mu_pframe)
+        # E[frame payload] per frame type, the closed form analytic
+        # advancement sums on every interval.
+        object.__setattr__(
+            self,
+            "_expected_bytes",
+            (
+                math.exp(mu_pframe + self.jitter_sigma**2 / 2.0),
+                math.exp(mu_iframe + self.jitter_sigma**2 / 2.0),
+            ),
+        )
 
     @property
     def mean_frame_bytes(self) -> float:
@@ -88,8 +98,8 @@ class FrameModel:
         under a byte at realistic frame sizes; that residue is part of
         the documented analytic-vs-fluid tolerance, not of this value.
         """
-        mu = self._mu_iframe if iframe else self._mu_pframe
-        return math.exp(mu + self.jitter_sigma**2 / 2.0)
+        pframe_bytes, iframe_bytes = self._expected_bytes
+        return iframe_bytes if iframe else pframe_bytes
 
     def frame_size(self, frame_index: int, rng: random.Random) -> int:
         """Draw one frame's size in bytes."""
@@ -219,25 +229,19 @@ class Workload:
         start_index = self._frame_index
         interval = self.model.iframe_interval
         if interval > 0:
-            def iframes_below(n: int) -> int:
-                return (n + interval - 1) // interval
-
-            n_iframes = iframes_below(start_index + frames) - iframes_below(
-                start_index
-            )
+            # I-frames below index n: ceil(n / interval).
+            n_iframes = (start_index + frames + interval - 1) // interval - (
+                start_index + interval - 1
+            ) // interval
         else:
             n_iframes = 0
         n_pframes = frames - n_iframes
-        expected_payload = (
-            n_iframes * self.model.expected_frame_bytes(iframe=True)
-            + n_pframes * self.model.expected_frame_bytes(iframe=False)
-        )
+        pframe_bytes, iframe_bytes = self.model._expected_bytes
+        expected_payload = n_iframes * iframe_bytes + n_pframes * pframe_bytes
         payload = stochastic_round(expected_payload, self.rng.random())
         packets = n_iframes * math.ceil(
-            self.model.expected_frame_bytes(iframe=True) / MTU_PAYLOAD
-        ) + n_pframes * math.ceil(
-            self.model.expected_frame_bytes(iframe=False) / MTU_PAYLOAD
-        )
+            iframe_bytes / MTU_PAYLOAD
+        ) + n_pframes * math.ceil(pframe_bytes / MTU_PAYLOAD)
         packets = max(packets, frames)  # every frame is >= 1 packet
         payload = max(payload, packets)  # >= 1 payload byte per packet
         wire_bytes = payload + packets * PACKET_OVERHEAD

@@ -49,7 +49,7 @@ from repro.experiments.scenario import (
 )
 
 #: Bump to invalidate every cached result (simulation semantics change).
-CACHE_VERSION = "tlc-campaign-v6"
+CACHE_VERSION = "tlc-campaign-v7"
 
 
 @dataclass(frozen=True)

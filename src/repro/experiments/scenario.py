@@ -492,7 +492,6 @@ def run_scenario(
 
         return run_population(config)
     loop = EventLoop()
-    rngs = RngStreams(config.seed)
     sink = (
         telemetry.TraceSink(config.trace_path)
         if config.telemetry and config.trace_path is not None
@@ -513,200 +512,207 @@ def run_scenario(
         if sink is not None:
             stack.enter_context(sink)
         stack.enter_context(telemetry.activation(session))
-        network = _build_network(config, loop, rngs)
+        result = _run_cycle(config, loop, hooks)
+    if session is not None:
+        session.flush()
+        metrics = session.registry.snapshot()
+        direction = config.direction.value
+        record: dict = {
+            "direction": direction,
+            "metrics": metrics,
+            "accounting": build_accounting(metrics, direction).as_dict(),
+        }
+        if session.trace is not None:
+            record["trace"] = session.trace.as_dicts()
+        result.extras["telemetry"] = record
+    return result
 
-        direction = config.direction
-        # Fault hooks are packet/block-level machinery, so an analytic
-        # run with hooks drops to fluid advancement (still exact vs
-        # packet mode) rather than refusing.
-        mode = config.mode
-        if mode == "analytic" and hooks is not None:
-            mode = "fluid"
-        fluid = mode == "fluid"
-        analytic = mode == "analytic"
-        if direction is Direction.UPLINK:
-            send = network.send_uplink_block if fluid else network.send_uplink
+
+def _run_cycle(
+    config: ScenarioConfig,
+    loop: EventLoop,
+    hooks: ScenarioHooks | None = None,
+) -> ScenarioResult:
+    """The simulation core of :func:`run_scenario` for one UE.
+
+    Publishes into whatever telemetry session is active and returns
+    the result without a telemetry record; a population fold calls it
+    directly under one session shared by all of its UEs.
+    """
+    rngs = RngStreams(config.seed)
+    network = _build_network(config, loop, rngs)
+
+    direction = config.direction
+    # Fault hooks are packet/block-level machinery, so an analytic
+    # run with hooks drops to fluid advancement (still exact vs
+    # packet mode) rather than refusing.
+    mode = config.mode
+    if mode == "analytic" and hooks is not None:
+        mode = "fluid"
+    fluid = mode == "fluid"
+    analytic = mode == "analytic"
+    if direction is Direction.UPLINK:
+        send = network.send_uplink_block if fluid else network.send_uplink
+    else:
+        send = network.send_downlink_block if fluid else network.send_downlink
+    workload = APP_BUILDERS[config.app](loop, send, rngs.stream("workload"))
+    if fluid:
+        workload.emit_blocks = True
+    driver = None
+    if analytic:
+        driver = AnalyticDriver(loop, network, workload)
+
+    if config.edge_tamper_fraction is not None:
+        network.ue.os_stats.install_tamper(
+            downlink=UnderReportTamper(config.edge_tamper_fraction)
+        )
+
+    if hooks is not None:
+        hooks.on_network(config, loop, rngs, network)
+
+    # Monitors for each party's two estimates.
+    rrc_monitor = RrcCounterMonitor(network.enodeb, direction)
+    gateway_monitor = GatewayMonitor(network.gateway, direction)
+    device_monitor = DeviceApiMonitor(network.ue, direction)
+    if direction is Direction.UPLINK:
+        edge_sent_monitor = DeviceApiMonitor(network.ue, direction)
+        edge_recv_read = lambda: network.server_received_bytes  # noqa: E731
+    else:
+        edge_sent_monitor = ServerMonitor(network, direction)
+        edge_recv_read = (
+            lambda: network.ue.os_stats.downlink_bytes  # noqa: E731
+        )
+
+    if hooks is not None:
+        monitors = {
+            "rrc": rrc_monitor,
+            "gateway": gateway_monitor,
+            "device": device_monitor,
+            "edge_sent": edge_sent_monitor,
+        }
+        hooks.on_monitors(config, loop, network, monitors)
+        rrc_monitor = monitors["rrc"]
+        gateway_monitor = monitors["gateway"]
+        device_monitor = monitors["device"]
+        edge_sent_monitor = monitors["edge_sent"]
+
+    # NTP-disciplined party clocks decide when each boundary snapshot
+    # is actually taken.
+    ntp = NtpModel(rngs.stream("ntp-edge"), config.effective_edge_clock_std)
+    edge_offset = ntp.residual_offset()
+    ntp_op = NtpModel(
+        rngs.stream("ntp-op"), config.effective_operator_clock_std
+    )
+    operator_offset = ntp_op.residual_offset()
+
+    edge_snapshot: dict[str, float] = {}
+    operator_snapshot: dict[str, float] = {}
+
+    def snap_edge() -> None:
+        edge_snapshot["sent"] = float(edge_sent_monitor.read_bytes())
+        edge_snapshot["received"] = float(edge_recv_read())
+
+    def snap_operator(retries_left: int = 10) -> None:
+        # The operator triggers an on-demand COUNTER CHECK at its
+        # cycle boundary.  A disconnected radio cannot answer — the
+        # operator retries once coverage is back (nothing is
+        # delivered while the radio is down, so the late reading
+        # stays close).
+        if (
+            not network.channel.connected
+            and retries_left > 0
+            and config.counter_check_enabled
+        ):
+            loop.schedule_in(
+                0.5,
+                lambda: snap_operator(retries_left - 1),
+                label="operator-snapshot-retry",
+            )
+            return
+        rrc_monitor.refresh()
+        if config.counter_check_enabled:
+            device_side = float(rrc_monitor.read_bytes())
         else:
-            send = (
-                network.send_downlink_block if fluid
-                else network.send_downlink
-            )
-        workload = APP_BUILDERS[config.app](
-            loop, send, rngs.stream("workload")
-        )
-        if fluid:
-            workload.emit_blocks = True
-        driver = None
-        if analytic:
-            driver = AnalyticDriver(loop, network, workload)
-
-        if config.edge_tamper_fraction is not None:
-            network.ue.os_stats.install_tamper(
-                downlink=UnderReportTamper(config.edge_tamper_fraction)
-            )
-
-        if hooks is not None:
-            hooks.on_network(config, loop, rngs, network)
-
-        # Monitors for each party's two estimates.
-        rrc_monitor = RrcCounterMonitor(network.enodeb, direction)
-        gateway_monitor = GatewayMonitor(network.gateway, direction)
-        device_monitor = DeviceApiMonitor(network.ue, direction)
+            # COUNTER CHECK not activated: the operator rolls back to
+            # the device APIs (§5.4 strawman 1) — accurate only while
+            # the edge is honest.
+            device_side = float(device_monitor.read_bytes())
         if direction is Direction.UPLINK:
-            edge_sent_monitor = DeviceApiMonitor(network.ue, direction)
-            edge_recv_read = (
-                lambda: network.server_received_bytes  # noqa: E731
-            )
+            operator_snapshot["sent"] = device_side
+            operator_snapshot["received"] = float(gateway_monitor.read_bytes())
         else:
-            edge_sent_monitor = ServerMonitor(network, direction)
-            edge_recv_read = (
-                lambda: network.ue.os_stats.downlink_bytes  # noqa: E731
+            operator_snapshot["sent"] = float(gateway_monitor.read_bytes())
+            operator_snapshot["received"] = device_side
+
+    # Ground truth is what actually crossed each metering point
+    # within the reference-time cycle; the parties' snapshots happen
+    # on their own clocks while traffic keeps flowing (it is a live
+    # network).
+    truth_snapshot: dict[str, float] = {}
+
+    def snap_truth() -> None:
+        if direction is Direction.UPLINK:
+            truth_snapshot["sent"] = float(network.true_uplink_sent())
+            truth_snapshot["received"] = float(network.true_uplink_received())
+        else:
+            truth_snapshot["sent"] = float(network.true_downlink_sent())
+            truth_snapshot["received"] = float(
+                network.true_downlink_received()
             )
+        truth_snapshot["legacy"] = float(network.legacy_charged(direction))
 
-        if hooks is not None:
-            monitors = {
-                "rrc": rrc_monitor,
-                "gateway": gateway_monitor,
-                "device": device_monitor,
-                "edge_sent": edge_sent_monitor,
-            }
-            hooks.on_monitors(config, loop, network, monitors)
-            rrc_monitor = monitors["rrc"]
-            gateway_monitor = monitors["gateway"]
-            device_monitor = monitors["device"]
-            edge_sent_monitor = monitors["edge_sent"]
-
-        # NTP-disciplined party clocks decide when each boundary snapshot
-        # is actually taken.
-        ntp = NtpModel(
-            rngs.stream("ntp-edge"), config.effective_edge_clock_std
-        )
-        edge_offset = ntp.residual_offset()
-        ntp_op = NtpModel(
-            rngs.stream("ntp-op"), config.effective_operator_clock_std
-        )
-        operator_offset = ntp_op.residual_offset()
-
-        edge_snapshot: dict[str, float] = {}
-        operator_snapshot: dict[str, float] = {}
+    if driver is not None:
+        # Observation points are analytic discontinuities: settle
+        # the pending interval before any monitor reads state, and
+        # before the workload's cadence stops.  Rebinding the names
+        # also routes snap_operator's coverage-retry reschedule
+        # through the synced wrapper.
+        sync = driver.sync
+        base_snap_edge = snap_edge
+        base_snap_operator = snap_operator
+        base_snap_truth = snap_truth
+        base_stop = workload.stop
 
         def snap_edge() -> None:
-            edge_snapshot["sent"] = float(edge_sent_monitor.read_bytes())
-            edge_snapshot["received"] = float(edge_recv_read())
+            sync()
+            base_snap_edge()
 
         def snap_operator(retries_left: int = 10) -> None:
-            # The operator triggers an on-demand COUNTER CHECK at its
-            # cycle boundary.  A disconnected radio cannot answer — the
-            # operator retries once coverage is back (nothing is
-            # delivered while the radio is down, so the late reading
-            # stays close).
-            if (
-                not network.channel.connected
-                and retries_left > 0
-                and config.counter_check_enabled
-            ):
-                loop.schedule_in(
-                    0.5,
-                    lambda: snap_operator(retries_left - 1),
-                    label="operator-snapshot-retry",
-                )
-                return
-            rrc_monitor.refresh()
-            if config.counter_check_enabled:
-                device_side = float(rrc_monitor.read_bytes())
-            else:
-                # COUNTER CHECK not activated: the operator rolls back to
-                # the device APIs (§5.4 strawman 1) — accurate only while
-                # the edge is honest.
-                device_side = float(device_monitor.read_bytes())
-            if direction is Direction.UPLINK:
-                operator_snapshot["sent"] = device_side
-                operator_snapshot["received"] = float(
-                    gateway_monitor.read_bytes()
-                )
-            else:
-                operator_snapshot["sent"] = float(
-                    gateway_monitor.read_bytes()
-                )
-                operator_snapshot["received"] = device_side
-
-        # Ground truth is what actually crossed each metering point
-        # within the reference-time cycle; the parties' snapshots happen
-        # on their own clocks while traffic keeps flowing (it is a live
-        # network).
-        truth_snapshot: dict[str, float] = {}
+            sync()
+            base_snap_operator(retries_left)
 
         def snap_truth() -> None:
-            if direction is Direction.UPLINK:
-                truth_snapshot["sent"] = float(network.true_uplink_sent())
-                truth_snapshot["received"] = float(
-                    network.true_uplink_received()
-                )
-            else:
-                truth_snapshot["sent"] = float(
-                    network.true_downlink_sent()
-                )
-                truth_snapshot["received"] = float(
-                    network.true_downlink_received()
-                )
-            truth_snapshot["legacy"] = float(
-                network.legacy_charged(direction)
-            )
+            sync()
+            base_snap_truth()
 
-        if driver is not None:
-            # Observation points are analytic discontinuities: settle
-            # the pending interval before any monitor reads state, and
-            # before the workload's cadence stops.  Rebinding the names
-            # also routes snap_operator's coverage-retry reschedule
-            # through the synced wrapper.
-            sync = driver.sync
-            base_snap_edge = snap_edge
-            base_snap_operator = snap_operator
-            base_snap_truth = snap_truth
-            base_stop = workload.stop
+        def stop_workload() -> None:
+            sync()
+            base_stop()
+    else:
+        stop_workload = workload.stop
 
-            def snap_edge() -> None:
-                sync()
-                base_snap_edge()
-
-            def snap_operator(retries_left: int = 10) -> None:
-                sync()
-                base_snap_operator(retries_left)
-
-            def snap_truth() -> None:
-                sync()
-                base_snap_truth()
-
-            def stop_workload() -> None:
-                sync()
-                base_stop()
-        else:
-            stop_workload = workload.stop
-
-        cycle_end = config.cycle_duration
-        if hooks is None:
-            edge_boundary = max(0.0, cycle_end - edge_offset)
-            operator_boundary = max(0.0, cycle_end - operator_offset)
-        else:
-            edge_boundary = hooks.boundary("edge", cycle_end, edge_offset)
-            operator_boundary = hooks.boundary(
-                "operator", cycle_end, operator_offset
-            )
-
-        workload.start()
-        loop.schedule_at(edge_boundary, snap_edge, label="edge-snapshot")
-        loop.schedule_at(
-            operator_boundary, snap_operator, label="operator-snapshot"
+    cycle_end = config.cycle_duration
+    if hooks is None:
+        edge_boundary = max(0.0, cycle_end - edge_offset)
+        operator_boundary = max(0.0, cycle_end - operator_offset)
+    else:
+        edge_boundary = hooks.boundary("edge", cycle_end, edge_offset)
+        operator_boundary = hooks.boundary(
+            "operator", cycle_end, operator_offset
         )
-        loop.schedule_at(cycle_end, snap_truth, label="truth-snapshot")
 
-        horizon = max(cycle_end, edge_boundary, operator_boundary) + 8.0
-        loop.schedule_at(
-            horizon - 0.5, stop_workload, label="workload-stop"
-        )
-        loop.run(until=horizon)
-        if hooks is not None:
-            hooks.finalize(config, loop, network)
+    workload.start()
+    loop.schedule_at(edge_boundary, snap_edge, label="edge-snapshot")
+    loop.schedule_at(
+        operator_boundary, snap_operator, label="operator-snapshot"
+    )
+    loop.schedule_at(cycle_end, snap_truth, label="truth-snapshot")
+
+    horizon = max(cycle_end, edge_boundary, operator_boundary) + 8.0
+    loop.schedule_at(horizon - 0.5, stop_workload, label="workload-stop")
+    loop.run(until=horizon)
+    if hooks is not None:
+        hooks.finalize(config, loop, network)
 
     truth = GroundTruth(
         sent=truth_snapshot.get("sent", 0.0),
@@ -722,23 +728,6 @@ def run_scenario(
         received_estimate=operator_snapshot.get("received", 0.0),
     )
 
-    extras: dict = {
-        "cdrs": network.ofcs.received_cdrs,
-        "processed_events": loop.processed_events,
-    }
-    if session is not None:
-        session.flush()
-        metrics = session.registry.snapshot()
-        accounting = build_accounting(metrics, direction.value)
-        record: dict = {
-            "direction": direction.value,
-            "metrics": metrics,
-            "accounting": accounting.as_dict(),
-        }
-        if session.trace is not None:
-            record["trace"] = session.trace.as_dicts()
-        extras["telemetry"] = record
-
     return ScenarioResult(
         config=config,
         truth=truth,
@@ -750,7 +739,10 @@ def run_scenario(
         rlf_events=network.enodeb.rlf_events,
         counter_checks=network.enodeb.counter_check_messages,
         generated_bytes=workload.generated_bytes,
-        extras=extras,
+        extras={
+            "cdrs": network.ofcs.received_cdrs,
+            "processed_events": loop.processed_events,
+        },
     )
 
 

@@ -743,6 +743,7 @@ class StealingScheduler:
                                 "ue_stop": acc.ue_stop,
                                 "events": acc.processed_events,
                                 "wall_s": acc.wall_s,
+                                "cpu_s": acc.cpu_s,
                                 "rss_max_bytes": acc.rss_max_bytes,
                             }
                         )

@@ -13,12 +13,12 @@ them on the campaign engine's process pool, and merges the results
   each UE's channel/congestion/workload streams — including the
   fluid-mode :class:`~repro.sim.sampling.ChunkedRandom` block draws —
   are independent of every other UE's);
-- a shard folds its UEs **streaming**: each finished UE's telemetry
-  snapshot and charging state are merged into the shard accumulator
-  and the per-UE result is dropped, so shard memory stays bounded by
-  one live scenario (use ``mode="fluid"`` to bound the live scenario's
-  event count too) plus one accumulated snapshot, whatever the
-  population size;
+- a shard folds its UEs **streaming**: every UE publishes into one
+  telemetry session owned by the shard, each finished UE's charging
+  state is merged into the shard accumulator, and the per-UE result is
+  dropped, so shard memory stays bounded by one live scenario (use
+  ``mode="fluid"`` to bound the live scenario's event count too) plus
+  one session's series, whatever the population size;
 - shard results merge through commutative monoids
   (:func:`repro.telemetry.merge.merge_snapshots`,
   :meth:`repro.telemetry.accounting.AccountingTable.merged`,
@@ -73,16 +73,18 @@ from repro.experiments.campaign import (
     CampaignTask,
     resolve_engine,
 )
+from repro import telemetry
 from repro.experiments.scenario import (
     ChargingScheme,
     ScenarioConfig,
     ScenarioResult,
+    _run_cycle,
     charge_with_scheme,
-    run_scenario,
 )
+from repro.sim.events import EventLoop
 from repro.sim.rng import derive_seed
 from repro.telemetry.accounting import build_accounting
-from repro.telemetry.merge import SnapshotAccumulator
+from repro.telemetry.merge import merge_snapshots
 
 
 def max_rss_bytes() -> int:
@@ -177,8 +179,10 @@ class ShardResult:
     direction: str = "downlink"
     #: Merged per-UE metric snapshot (None when telemetry was off).
     metrics: dict | None = None
-    #: Shard compute wall-clock (seconds) and worker peak RSS (bytes).
+    #: Fold wall-clock and the fold process's CPU time (seconds), and
+    #: worker peak RSS (bytes).
     wall_s: float = 0.0
+    cpu_s: float = 0.0
     rss_max_bytes: int = 0
 
     @property
@@ -193,13 +197,7 @@ class ShardResult:
                 "cannot merge shards across directions: "
                 f"{self.direction!r} vs {other.direction!r}"
             )
-        acc = None
-        if self.metrics is not None or other.metrics is not None:
-            folder = SnapshotAccumulator()
-            for metrics in (self.metrics, other.metrics):
-                if metrics is not None:
-                    folder.add(metrics)
-            acc = folder.snapshot()
+        metered = [m for m in (self.metrics, other.metrics) if m is not None]
         return ShardResult(
             ue_start=min(self.ue_start, other.ue_start),
             ue_stop=max(self.ue_stop, other.ue_stop),
@@ -213,8 +211,9 @@ class ShardResult:
                 self.processed_events + other.processed_events
             ),
             direction=self.direction,
-            metrics=acc,
+            metrics=merge_snapshots(metered) if metered else None,
             wall_s=self.wall_s + other.wall_s,
+            cpu_s=self.cpu_s + other.cpu_s,
             rss_max_bytes=max(self.rss_max_bytes, other.rss_max_bytes),
         )
 
@@ -224,42 +223,42 @@ def _fold_ues(
 ) -> ShardResult:
     """Run UEs ``[ue_start, ue_stop)`` serially, folding as they finish.
 
-    The streaming fold is the memory bound: after each UE the scenario
-    result (and its telemetry snapshot) is merged into plain-dict
-    accumulators and dropped, so peak memory is one live simulation
-    plus one accumulated snapshot regardless of the range size.
+    The streaming fold is the memory bound: every UE publishes into one
+    telemetry session owned by the fold (closed per UE by
+    :meth:`~repro.telemetry.Telemetry.end_unit`), and its charging
+    state is merged into plain accumulators and dropped, so peak memory
+    is one live simulation plus one session's series regardless of the
+    range size.
     """
     start = time.perf_counter()
+    cpu_start = time.process_time()
     charging = ChargingAggregate()
-    snapshots = SnapshotAccumulator()
-    metered = False
-    direction = scenario.direction.value
+    session = telemetry.Telemetry() if scenario.telemetry else None
     outage_ns = 0
     rlf_events = 0
     counter_checks = 0
     generated_bytes = 0
     processed_events = 0
-    for index in range(ue_start, ue_stop):
-        result = run_scenario(per_ue_config(scenario, index))
-        charging = charging.merge(
-            ChargingAggregate.of_views(
-                truth=result.truth,
-                edge_view=result.edge_view,
-                operator_view=result.operator_view,
-                legacy_charged=result.legacy_charged,
-                cdr_count=int(result.extras.get("cdrs", 0)),
-                ue_count=1,
+    with telemetry.activation(session):
+        for index in range(ue_start, ue_stop):
+            result = _run_cycle(per_ue_config(scenario, index), EventLoop())
+            if session is not None:
+                session.end_unit()
+            charging = charging.merge(
+                ChargingAggregate.of_views(
+                    truth=result.truth,
+                    edge_view=result.edge_view,
+                    operator_view=result.operator_view,
+                    legacy_charged=result.legacy_charged,
+                    cdr_count=result.extras["cdrs"],
+                    ue_count=1,
+                )
             )
-        )
-        outage_ns += round(result.outage_time * 1e9)
-        rlf_events += result.rlf_events
-        counter_checks += result.counter_checks
-        generated_bytes += result.generated_bytes
-        processed_events += int(result.extras.get("processed_events", 0))
-        telemetry = result.extras.get("telemetry")
-        if telemetry is not None:
-            metered = True
-            snapshots.add(telemetry["metrics"])
+            outage_ns += round(result.outage_time * 1e9)
+            rlf_events += result.rlf_events
+            counter_checks += result.counter_checks
+            generated_bytes += result.generated_bytes
+            processed_events += result.extras["processed_events"]
     return ShardResult(
         ue_start=ue_start,
         ue_stop=ue_stop,
@@ -270,9 +269,10 @@ def _fold_ues(
         counter_checks=counter_checks,
         generated_bytes=generated_bytes,
         processed_events=processed_events,
-        direction=direction,
-        metrics=snapshots.snapshot() if metered else None,
+        direction=scenario.direction.value,
+        metrics=session.registry.snapshot() if session else None,
         wall_s=time.perf_counter() - start,
+        cpu_s=time.process_time() - cpu_start,
         rss_max_bytes=max_rss_bytes(),
     )
 
@@ -335,7 +335,8 @@ def _merged_scenario_result(
             "n_ues": config.n_ues,
             "schedule": schedule,
             "rss_max_bytes": merged.rss_max_bytes,
-            "compute_seconds": merged.wall_s,
+            "compute_seconds": merged.cpu_s,
+            "fold_wall_seconds": merged.wall_s,
             "per_shard": per_shard or [],
         },
     }
@@ -457,6 +458,7 @@ def run_sharded_scenario(
             "ue_stop": r.ue_stop,
             "events": r.processed_events,
             "wall_s": r.wall_s,
+            "cpu_s": r.cpu_s,
             "rss_max_bytes": r.rss_max_bytes,
         }
         for r in results
@@ -488,8 +490,8 @@ class ScalingPoint:
     #: Does this point's merged state equal the first point's?  (The
     #: shard-count-invariance check; always True for a correct build.)
     matches_first: bool = True
-    #: Summed worker compute seconds (Σ per-shard/per-chunk wall), the
-    #: CPU cost the run would pay single-threaded.
+    #: Summed worker CPU seconds (Σ per-shard/per-chunk
+    #: ``process_time``), the CPU cost the run would pay single-threaded.
     cpu_s: float = 0.0
     schedule: str = "static"
     chunk_ues: int | None = None

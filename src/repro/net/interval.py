@@ -36,7 +36,7 @@ the derived tolerance of the fluid run they replace
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.net.packet import Direction
 
@@ -134,10 +134,12 @@ class IntervalFlow:
             or other.qci != self.qci
         ):
             raise ValueError("cannot merge aggregates of different flows")
-        return replace(
-            self,
-            packets=self.packets + other.packets,
-            bytes=self.bytes + other.bytes,
+        return IntervalFlow(
+            self.packets + other.packets,
+            self.bytes + other.bytes,
+            self.flow,
+            self.direction,
+            self.qci,
         )
 
     def drop(self, lost_packets: int) -> tuple["IntervalFlow", int]:
@@ -150,10 +152,12 @@ class IntervalFlow:
         if self.is_empty and lost_packets == 0:
             return self, 0
         lost_bytes = split_loss_bytes(self.packets, self.bytes, lost_packets)
-        survivors = replace(
-            self,
-            packets=self.packets - lost_packets,
-            bytes=self.bytes - lost_bytes,
+        survivors = IntervalFlow(
+            self.packets - lost_packets,
+            self.bytes - lost_bytes,
+            self.flow,
+            self.direction,
+            self.qci,
         )
         return survivors, lost_bytes
 
@@ -179,5 +183,7 @@ class IntervalFlow:
         """
         head_packets = max(0, min(head_packets, self.packets))
         rest, head_bytes = self.drop(head_packets)
-        head = replace(self, packets=head_packets, bytes=head_bytes)
+        head = IntervalFlow(
+            head_packets, head_bytes, self.flow, self.direction, self.qci
+        )
         return head, rest

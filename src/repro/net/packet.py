@@ -18,6 +18,12 @@ class Direction(enum.Enum):
     UPLINK = "uplink"      # device -> server
     DOWNLINK = "downlink"  # server -> device
 
+    # Members are singletons (pickling resolves them by value), so the
+    # identity hash is consistent with equality and keeps per-packet
+    # and per-interval ``Direction``-keyed dict lookups in C instead of
+    # ``Enum.__hash__``'s Python-level ``hash(self._name_)``.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
 

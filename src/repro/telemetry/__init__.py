@@ -174,7 +174,8 @@ class Telemetry:
     # -- metrics write path --------------------------------------------
 
     def bind_counter(self, name: str, **labels: Any) -> BoundCounter:
-        """A pre-resolved counter handle (the hot-path write API)."""
+        """A pre-resolved counter handle (the hot-path write API),
+        interned per series by the registry."""
         return self.registry.bind_counter(name, **labels)
 
     def bind_gauge(self, name: str, **labels: Any) -> BoundGauge:
@@ -182,7 +183,7 @@ class Telemetry:
         return self.registry.bind_gauge(name, **labels)
 
     def bind_histogram(self, name: str, **labels: Any) -> BoundHistogram:
-        """A pre-resolved histogram handle."""
+        """A pre-resolved histogram handle, interned per series."""
         return self.registry.bind_histogram(name, **labels)
 
     def inc(self, name: str, amount: int | float = 1, **labels: Any) -> None:
@@ -212,6 +213,21 @@ class Telemetry:
         """
         for callback in self._flushers:
             callback()
+
+    def end_unit(self) -> None:
+        """Close one unit of a session shared by many (one UE of a
+        population fold).
+
+        Runs the unit's burst-accumulator flushers once and drops them,
+        so the flusher list never grows across units, and retires the
+        unit's gauges (:meth:`MetricsRegistry.retire_gauges`), so the
+        session's snapshot equals the
+        :class:`~repro.telemetry.merge.SnapshotAccumulator` merge of
+        per-unit sessions.
+        """
+        self.flush()
+        self._flushers.clear()
+        self.registry.retire_gauges()
 
     # -- tracing --------------------------------------------------------
 

@@ -26,10 +26,13 @@ output series are emitted in a canonical sort order, so
 permutation produce byte-identical snapshots for integer-valued series
 — the property :mod:`tests.telemetry.test_merge` locks down.
 
-:class:`SnapshotAccumulator` is the streaming form: a shard folds each
-UE's snapshot in as soon as the UE finishes and discards the per-UE
-session, so shard memory stays bounded by one live scenario plus one
-accumulated snapshot regardless of population size.
+:class:`SnapshotAccumulator` is the streaming form, folding one
+snapshot at a time.  Within one fold the UEs do not snapshot at all:
+they share one session, closed per UE by
+:meth:`repro.telemetry.Telemetry.end_unit`, whose registry snapshot is
+exactly this monoid's merge of per-UE snapshots (gauges included), so
+shard memory stays bounded by one live scenario plus one session's
+series regardless of population size.
 """
 
 from __future__ import annotations

@@ -13,7 +13,8 @@ Two write paths share one instrument namespace:
 
 - **Bound handles** (:meth:`MetricsRegistry.bind_counter` and friends) —
   the hot path.  An instrumentation point resolves its label set once,
-  at bind time (labels are canonicalized and the lookup key interned);
+  at bind time (labels are canonicalized, and counter and histogram
+  handles are interned per series, so re-binding is one dict hit);
   every subsequent ``handle.inc()`` is a plain attribute increment on
   the underlying instrument.  The instrument itself materializes on the
   *first write*, not at bind time, so a site that binds but never fires
@@ -275,6 +276,12 @@ class MetricsRegistry:
         # to their (sort-canonicalized) instrument, so the sorting cost
         # is paid once per distinct call shape, not per call.
         self._interned: dict[tuple[str, str, Labels], Instrument] = {}
+        # Intern cache for bound counter/histogram handles, keyed by
+        # both the call-order and the canonical label tuple: re-binding
+        # a series is one dict hit and yields the same handle.
+        self._bound: dict[tuple[str, str, Labels], Any] = {}
+        # Per-series gauge sums of the units closed by retire_gauges().
+        self._retired_gauges: dict[tuple[str, str, Labels], int | float] = {}
 
     # -- instrument accessors ------------------------------------------
 
@@ -309,22 +316,70 @@ class MetricsRegistry:
 
     # -- bound handles (the hot-path write API) ------------------------
 
-    def bind_counter(self, name: str, **labels: Any) -> BoundCounter:
-        """A pre-resolved counter handle for (name, labels).
+    def _bind(self, kind: str, factory, name: str, labels: dict[str, Any]):
+        """The interned handle of a series, keyed by call order first
+        and by canonical labels on a miss."""
+        key = (kind, name, tuple(labels.items()))
+        handle = self._bound.get(key)
+        if handle is None:
+            canonical = (kind, name, _labels_key(labels))
+            handle = self._bound.get(canonical)
+            if handle is None:
+                handle = self._bound[canonical] = factory(
+                    self, name, canonical[2]
+                )
+            self._bound[key] = handle
+        return handle
 
-        Binding canonicalizes the labels once; the returned handle's
-        ``inc`` is a plain attribute increment afterwards.  The series
-        itself is created on the first increment, not at bind time.
+    def bind_counter(self, name: str, **labels: Any) -> BoundCounter:
+        """The counter handle for (name, labels), interned per series.
+
+        The first bind canonicalizes the labels; every later bind of
+        the same series, in any kwarg order, is one dict hit returning
+        the same handle, whose ``inc`` is a plain attribute increment.
+        The series itself is created on the first increment, not at
+        bind time.
         """
-        return BoundCounter(self, name, _labels_key(labels))
+        return self._bind("counter", BoundCounter, name, labels)
 
     def bind_gauge(self, name: str, **labels: Any) -> BoundGauge:
-        """A pre-resolved gauge handle for (name, labels)."""
+        """A pre-resolved gauge handle for (name, labels).
+
+        Not interned: a gauge handle caches its instrument, which
+        :meth:`retire_gauges` replaces at every unit boundary.
+        """
         return BoundGauge(self, name, _labels_key(labels))
 
     def bind_histogram(self, name: str, **labels: Any) -> BoundHistogram:
-        """A pre-resolved histogram handle for (name, labels)."""
-        return BoundHistogram(self, name, _labels_key(labels))
+        """The histogram handle for (name, labels), interned per series
+        (see :meth:`bind_counter`)."""
+        return self._bind("histogram", BoundHistogram, name, labels)
+
+    # -- units sharing one registry ------------------------------------
+
+    def retire_gauges(self) -> None:
+        """Close one unit of a registry shared by many (one UE of a
+        population fold).
+
+        Counters and histograms add up across units by themselves;
+        a gauge is a per-unit reading, so each live gauge's value is
+        added to its series' retired sum (the sum
+        :class:`~repro.telemetry.merge.SnapshotAccumulator` would form
+        from per-unit snapshots) and the gauge is dropped, so the next
+        unit's writes start from a fresh instrument.
+        """
+        live = [key for key in self._instruments if key[0] == "gauge"]
+        if not live:
+            return
+        retired = self._retired_gauges
+        for key in live:
+            gauge = self._instruments.pop(key)
+            retired[key] = retired.get(key, 0) + gauge.value  # type: ignore[union-attr]
+        self._interned = {
+            key: inst
+            for key, inst in self._interned.items()
+            if key[0] != "gauge"
+        }
 
     # -- convenience write paths ---------------------------------------
 
@@ -372,18 +427,22 @@ class MetricsRegistry:
                 yield instrument  # type: ignore[misc]
 
     def snapshot(self) -> dict[str, list[dict[str, Any]]]:
-        """A plain-dict, JSON-able dump of every instrument."""
+        """A plain-dict, JSON-able dump of every instrument.
+
+        Gauges of retired units appear summed with any live gauge of
+        the same series (see :meth:`retire_gauges`).
+        """
         out: dict[str, list[dict[str, Any]]] = {
             "counters": [],
             "gauges": [],
             "histograms": [],
         }
-        for (kind, name, labels), inst in sorted(
-            self._instruments.items(), key=lambda item: (item[0][0], item[0][1], item[0][2])
-        ):
+        retired = self._retired_gauges
+        for key in sorted(self._instruments.keys() | retired.keys()):
+            kind, name, labels = key
+            inst = self._instruments.get(key)
             entry: dict[str, Any] = {"name": name, "labels": dict(labels)}
             if kind == "histogram":
-                hist = inst  # type: Histogram  # noqa: F841
                 entry.update(
                     count=inst.count,  # type: ignore[union-attr]
                     total=inst.total,  # type: ignore[union-attr]
@@ -391,7 +450,11 @@ class MetricsRegistry:
                     max=None if inst.count == 0 else inst.max,  # type: ignore[union-attr]
                     mean=inst.mean,  # type: ignore[union-attr]
                 )
+            elif inst is None:
+                entry["value"] = retired[key]
+            elif key in retired:
+                entry["value"] = retired[key] + inst.value
             else:
-                entry["value"] = inst.value  # type: ignore[union-attr]
+                entry["value"] = inst.value
             out[kind + "s"].append(entry)
         return out

@@ -139,3 +139,50 @@ class TestIntervalFlow:
         head, rest = flow.take(99)
         assert head == flow
         assert rest.is_empty
+
+
+def corrupt(flow, **fields):
+    """A flow whose fields were overwritten past validation (frozen
+    dataclasses only resist ordinary assignment)."""
+    for name, value in fields.items():
+        object.__setattr__(flow, name, value)
+    return flow
+
+
+class TestDerivedFlowsStayValidated:
+    """``merge``, ``drop`` and ``take`` build their results directly;
+    every result still passes ``__post_init__`` validation."""
+
+    def test_merge_rejects_an_invalid_sum(self):
+        bad = corrupt(make_flow(2, 2000), bytes=1)
+        with pytest.raises(ValueError, match="need >= 1 byte"):
+            make_flow(3, 3).merge(bad)
+
+    def test_drop_rejects_an_invalid_survivor(self):
+        bad = corrupt(make_flow(4, 4000), bytes=2)
+        with pytest.raises(ValueError, match="need >= 1 byte"):
+            bad.drop(1)
+
+    def test_drop_rejects_out_of_range_losses(self):
+        flow = make_flow(4, 4000)
+        with pytest.raises(ValueError):
+            flow.drop(5)
+        with pytest.raises(ValueError):
+            flow.drop(-1)
+
+    def test_take_rejects_an_invalid_split(self):
+        bad = corrupt(make_flow(4, 4000), bytes=2)
+        with pytest.raises(ValueError, match="need >= 1 byte"):
+            bad.take(2)
+
+    def test_derived_flows_keep_metadata(self):
+        flow = IntervalFlow(
+            packets=10, bytes=14_000, flow="vr", direction=Direction.UPLINK,
+            qci=7,
+        )
+        survivors, _ = flow.drop(3)
+        head, rest = flow.take(4)
+        for derived in (survivors, head, rest, flow.merge(flow)):
+            assert (derived.flow, derived.direction, derived.qci) == (
+                "vr", Direction.UPLINK, 7,
+            )

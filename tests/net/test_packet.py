@@ -34,3 +34,20 @@ class TestPacket:
     def test_direction_str(self):
         assert str(Direction.UPLINK) == "uplink"
         assert str(Direction.DOWNLINK) == "downlink"
+
+
+class TestDirectionHash:
+    def test_identity_hash(self):
+        for direction in Direction:
+            assert hash(direction) == object.__hash__(direction)
+
+    def test_direction_keyed_dict_survives_pickle(self):
+        import pickle
+
+        table = {Direction.UPLINK: "up", Direction.DOWNLINK: "down"}
+        copy = pickle.loads(pickle.dumps(table))
+        assert copy[Direction.UPLINK] == "up"
+        assert copy[Direction.DOWNLINK] == "down"
+        for direction in pickle.loads(pickle.dumps(list(Direction))):
+            assert direction is Direction(direction.value)
+            assert table[direction] == copy[direction]
