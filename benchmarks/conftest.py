@@ -46,6 +46,7 @@ def campaign_engine(request):
     set_default_engine(engine)
     yield engine
     set_default_engine(None)
+    engine.close()
 
 
 @pytest.fixture()

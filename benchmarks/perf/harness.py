@@ -19,11 +19,10 @@ The report schema (version 5)::
       "scaling": {              # optional: --scaling / run_scaling()
         "workload": "million_ue_hetero",
         "n_ues": <population size of the worker-count grid>,
-        "schedule": "steal" | "static",
         "chunk_ues": <pinned chunk size, or null for auto-sized>,
         "cpu_count": <os.cpu_count() of the measuring host>,
         "points": [             # one per worker count, same seed
-          {"shards": N, "n_ues": ..., "schedule": ..., "chunk_ues": ...,
+          {"shards": N, "n_ues": ..., "chunk_ues": ...,
            "wall_s": ..., "cpu_s": <summed worker CPU seconds>,
            "events": ..., "events_per_sec": ..., "bytes": ...,
            "bytes_per_sec": ...,
@@ -60,9 +59,10 @@ Version 5 splits per-UE cost in two.  ``per_ue_ms`` is **wall ÷ UEs**,
 what the operator waits per UE (v4's ``per_ue_ms`` was wall × shards
 ÷ UEs).  ``cpu_per_ue_ms`` is ``cpu_s`` ÷ UEs, where ``cpu_s`` sums
 each fold's ``time.process_time()`` delta over every shard or chunk.
-The section also records the ``schedule`` (work-stealing by default)
-and ``chunk_ues``, and the host's ``cpu_count``: on a one-core host
-the wall ratios measure scheduler overhead, not speedup.
+The section also records ``chunk_ues`` and the host's ``cpu_count``:
+on a one-core host the wall ratios measure scheduler overhead, not
+speedup.  (Reports before the one-pool refactor also carry a
+``schedule`` field; the work-stealing pool is now the only one.)
 
 ``wall_s`` is the **median** of ``repeats`` executions after one
 untimed warmup.  The warmup absorbs one-time costs (imports, allocator
@@ -223,22 +223,19 @@ def run_scaling(
     ues: int | None = None,
     shard_counts: Iterable[int] | None = None,
     headline_ues: int | None = None,
-    schedule: str | None = None,
     chunk_ues: int | None = None,
 ) -> dict:
     """Measure the ``million_ue`` cell across shard counts.
 
     Each point re-runs the same population (same seed) through
-    :func:`repro.experiments.sharding.run_sharded_scenario` on one
-    shared warm pool — by default the work-stealing chunk scheduler
-    on a **skewed heterogeneous** population (the load shape stealing
-    exists for) — recording wall clock, summed worker CPU time
+    :func:`repro.experiments.scheduler.run_stealing_scenario` on one
+    shared warm work-stealing pool, on a **skewed heterogeneous**
+    population (the load shape stealing exists for) — recording wall clock, summed worker CPU time
     (``cpu_s``), event/byte rates, peak worker RSS, the merged
     accounting identity, and whether the merged state is
     byte-identical to the first point's (``matches_first`` — the
-    shard-count invariance, which must hold across schedules and
-    chunk sizes too).  ``MILLION_UE_SCALING_UES`` /
-    ``MILLION_UE_SHARDS`` / ``MILLION_UE_SCHEDULE`` /
+    shard-count invariance, which must hold across chunk sizes too).
+    ``MILLION_UE_SCALING_UES`` / ``MILLION_UE_SHARDS`` /
     ``MILLION_UE_CHUNK_UES`` override the grid (distinct from
     ``MILLION_UE_UES``, which sizes the small timed ``million_ue``
     workload of the regression gate).  The section records
@@ -275,15 +272,11 @@ def run_scaling(
         )
     if headline_ues is None:
         headline_ues = int(os.environ.get("MILLION_UE_HEADLINE", "0"))
-    if schedule is None:
-        schedule = os.environ.get("MILLION_UE_SCHEDULE", "steal")
     if chunk_ues is None:
         raw = os.environ.get("MILLION_UE_CHUNK_UES")
         chunk_ues = int(raw) if raw else None
     config = million_ue_hetero_config(ues)
-    points = scaling_curve(
-        config, shard_counts, schedule=schedule, chunk_ues=chunk_ues
-    )
+    points = scaling_curve(config, shard_counts, chunk_ues=chunk_ues)
     rows = [point.as_dict() for point in points]
     invariant = all(
         point.matches_first and point.reconciles for point in points
@@ -300,7 +293,6 @@ def run_scaling(
     return {
         "workload": "million_ue_hetero",
         "n_ues": ues,
-        "schedule": schedule,
         "chunk_ues": chunk_ues,
         "cpu_count": os.cpu_count(),
         "points": rows,

@@ -291,8 +291,6 @@ def test_work_stealing_speedup(perf_report):
     scaling = perf_report.get("scaling")
     if scaling is None:
         pytest.skip("PERF_SCALING not set")
-    if scaling.get("schedule") != "steal":
-        pytest.skip("scaling grid did not use the work-stealing schedule")
     points = [p for p in scaling["points"] if not p.get("mode")]
     if len(points) < 2:
         pytest.skip("needs at least two shard counts in the grid")

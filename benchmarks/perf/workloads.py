@@ -222,11 +222,11 @@ def million_ue_hetero_config(n_ues: int) -> ScenarioConfig:
     a loaded bottleneck on ~20-packet frames, several times the
     compute of a clean cycle, ``weight=4``); the rest are cloud-gaming
     sessions on a weak radio (light).  Both apps are downlink, so the
-    merged cell keeps a single charging direction.  A static
-    contiguous partition puts whole heavy stretches on single shards
-    and stalls on them; chunked stealing balances the same cell.  The
-    merged result is still byte-identical at every worker count,
-    schedule, and chunk size.
+    merged cell keeps a single charging direction.  One contiguous
+    range per worker would put whole heavy stretches on single
+    workers and stall on them; chunked stealing balances the same
+    cell.  The merged result is still byte-identical at every worker
+    count and chunk size.
     """
     from repro.experiments.scenario import PopulationGroup
 

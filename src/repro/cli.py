@@ -360,13 +360,12 @@ def _faults(fast: bool) -> str:
     return fault_tolerance.render_fault_report(results)
 
 
-# ``run scale --ues N --shards A,B,C [--mode M] [--schedule S]
-# [--chunk-ues C]`` overrides, set by main() and cleared in its
-# finally block (same pattern as the fault-plan override).
+# ``run scale --ues N --shards A,B,C [--mode M] [--chunk-ues C]``
+# overrides, set by main() and cleared in its finally block (same
+# pattern as the fault-plan override).
 _scale_ues: int | None = None
 _scale_shards: tuple[int, ...] | None = None
 _scale_mode: str | None = None
-_scale_schedule: str | None = None
 _scale_chunk_ues: int | None = None
 
 
@@ -374,16 +373,13 @@ def set_scale_override(
     ues: int | None,
     shards: tuple[int, ...] | None,
     mode: str | None = None,
-    schedule: str | None = None,
     chunk_ues: int | None = None,
 ) -> None:
     """Override the ``scale`` experiment's population / shard grid."""
-    global _scale_ues, _scale_shards, _scale_mode
-    global _scale_schedule, _scale_chunk_ues
+    global _scale_ues, _scale_shards, _scale_mode, _scale_chunk_ues
     _scale_ues = ues
     _scale_shards = shards
     _scale_mode = mode
-    _scale_schedule = schedule
     _scale_chunk_ues = chunk_ues
 
 
@@ -395,11 +391,10 @@ def _scale(fast: bool) -> str:
     the merge-invariant contract: every shard count must produce the
     byte-identical merged accounting table and Algorithm 1 settlement.
     ``--ues``/``--shards`` set the population and the shard-count
-    grid; ``--mode`` picks the advancement mode (default fluid);
-    ``--schedule`` picks the fan-out strategy (default: the
-    work-stealing chunk scheduler) and ``--chunk-ues`` its chunk size.
-    Merged totals depend only on the seed, the population, and the
-    mode — never on the shard count, the schedule, or the chunk size.
+    grid; ``--mode`` picks the advancement mode (default fluid) and
+    ``--chunk-ues`` the work-stealing chunk size.  Merged totals depend
+    only on the seed, the population, and the mode — never on the
+    shard count or the chunk size.
     """
     from repro.experiments.sharding import scaling_curve
 
@@ -410,7 +405,6 @@ def _scale(fast: bool) -> str:
         else ((1, 2, 4) if fast else (1, 2, 4, 8))
     )
     mode = _scale_mode if _scale_mode is not None else "fluid"
-    schedule = _scale_schedule if _scale_schedule is not None else "steal"
     config = ScenarioConfig(
         app="webcam-udp",
         seed=42,
@@ -419,9 +413,7 @@ def _scale(fast: bool) -> str:
         telemetry=True,
         n_ues=ues,
     )
-    points = scaling_curve(
-        config, shard_counts, schedule=schedule, chunk_ues=_scale_chunk_ues
-    )
+    points = scaling_curve(config, shard_counts, chunk_ues=_scale_chunk_ues)
     table = render_table(
         ["shards", "wall s", "ms/UE", "cpu ms/UE", "events/s",
          "app MB/s", "peak RSS MB", "reconciles", "settled B",
@@ -449,10 +441,7 @@ def _scale(fast: bool) -> str:
         else "MERGE INVARIANT VIOLATED — shard counts disagree"
     )
     chunk = "auto" if _scale_chunk_ues is None else _scale_chunk_ues
-    header = (
-        f"{ues:,} UEs per point, mode={mode}, schedule={schedule}"
-        + (f", chunk_ues={chunk}" if schedule == "steal" else "")
-    )
+    header = f"{ues:,} UEs per point, mode={mode}, chunk_ues={chunk}"
     return f"{header}\n{table}\n{verdict}"
 
 
@@ -647,22 +636,13 @@ def build_parser() -> argparse.ArgumentParser:
         "'1,2,4,8'; merged results are byte-identical for every count",
     )
     run.add_argument(
-        "--schedule",
-        default=None,
-        choices=("static", "steal"),
-        help="fan-out strategy for the 'scale' experiment: 'steal' "
-        "(default) pulls small UE chunks through the work-stealing "
-        "scheduler's warm workers; 'static' runs one contiguous range "
-        "per shard on the campaign engine",
-    )
-    run.add_argument(
         "--chunk-ues",
         type=int,
         default=None,
         metavar="N",
         help="UEs per work-stealing chunk for the 'scale' experiment "
-        "(default: auto-sized, ~8 chunks per worker); only valid with "
-        "--schedule steal",
+        "(default: auto-sized, ~8 chunks per worker); merged results "
+        "are byte-identical for every size",
     )
     run.add_argument(
         "--fail-fast",
@@ -858,18 +838,10 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 2
-    schedule = getattr(args, "schedule", None)
-    if chunk_ues is not None and schedule == "static":
-        print(
-            "--chunk-ues only applies to --schedule steal",
-            file=sys.stderr,
-        )
-        return 2
     set_scale_override(
         getattr(args, "ues", None),
         shard_counts,
         getattr(args, "mode", None),
-        schedule,
         chunk_ues,
     )
     collect = metrics_out is not None or trace_out is not None
@@ -882,7 +854,6 @@ def main(argv: list[str] | None = None) -> int:
         fail_fast=getattr(args, "fail_fast", False),
     )
     set_default_engine(engine)
-    failures: list = []
 
     # The trace sink opens before any experiment runs and closes in the
     # finally block, so a crashing scenario (or worker) can never leave
@@ -912,17 +883,22 @@ def main(argv: list[str] | None = None) -> int:
             print(f"===== {name}: {description} =====")
             print(fn(args.fast))
             print()
-            failures.extend(engine.last_failures)
             _drain_trace()
+    except BaseException:
+        # A driver that crashes (say, on a failed cell's None result)
+        # must still say which cells failed before it.
+        _report_failures(engine.all_failures)
+        raise
     finally:
         if profiler is not None:
             profiler.disable()
         set_default_engine(None)
         fault_tolerance.set_plan_override(None)
-        set_scale_override(None, None, None, None, None)
+        set_scale_override(None, None, None, None)
         if trace_sink is not None:
             _drain_trace()
             trace_sink.close()
+        engine.close()
 
     if collect:
         records = engine.telemetry_records
@@ -990,15 +966,20 @@ def main(argv: list[str] | None = None) -> int:
         stats = pstats.Stats(profiler, stream=sys.stdout)
         stats.sort_stats("cumulative").print_stats(25)
 
-    if failures:
-        print(
-            f"[campaign] {len(failures)} scenario(s) FAILED:",
-            file=sys.stderr,
-        )
-        for failure in failures:
-            print(f"  {failure}", file=sys.stderr)
-        return 1
-    return 0
+    _report_failures(engine.all_failures)
+    return 1 if engine.all_failures else 0
+
+
+def _report_failures(failures: list) -> None:
+    """Print the failed-cells block to stderr (nothing when none)."""
+    if not failures:
+        return
+    print(
+        f"[campaign] {len(failures)} scenario(s) FAILED:",
+        file=sys.stderr,
+    )
+    for failure in failures:
+        print(f"  {failure}", file=sys.stderr)
 
 
 if __name__ == "__main__":  # pragma: no cover

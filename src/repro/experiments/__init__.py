@@ -16,8 +16,8 @@ drivers sweep it:
 
 Population scale-out lives in :mod:`repro.experiments.sharding`: a
 ``ScenarioConfig`` with ``n_ues > 1`` describes a whole cell, and
-:func:`~repro.experiments.sharding.run_sharded_scenario` splits it into
-seeded shards on the campaign engine's process pool and merges the
+:func:`~repro.experiments.scheduler.run_stealing_scenario` splits it into
+seeded UE chunks on the work-stealing worker pool and merges the
 results exactly (see ``docs/architecture.md``).
 """
 
@@ -34,14 +34,11 @@ from repro.experiments.scenario import (
     charge_with_scheme,
     run_scenario,
 )
+from repro.experiments.scheduler import run_stealing_scenario
 from repro.experiments.sharding import (
     ScalingPoint,
     ShardResult,
-    ShardSpec,
-    partition_population,
     run_population,
-    run_shard,
-    run_sharded_scenario,
     scaling_curve,
 )
 
@@ -53,14 +50,11 @@ __all__ = [
     "ScenarioConfig",
     "ScenarioResult",
     "ShardResult",
-    "ShardSpec",
     "charge_with_scheme",
-    "partition_population",
     "run_population",
     "run_scenario",
     "run_scenarios",
-    "run_sharded_scenario",
-    "run_shard",
+    "run_stealing_scenario",
     "scaling_curve",
     "set_default_engine",
 ]

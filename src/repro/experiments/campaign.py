@@ -10,11 +10,14 @@ cacheable, which is what this module exploits:
 - :class:`CampaignTask` — one (runner function, config) cell.  The runner
   must be a module-level function of a single picklable config whose
   result depends on nothing else.
-- :class:`CampaignEngine` — executes an iterable of tasks through a
-  pluggable executor (serial, or ``ProcessPoolExecutor`` with
-  ``workers=N``), consults a content-addressed on-disk cache first, and
-  returns results **in task order regardless of completion order**, so a
-  parallel campaign is bit-for-bit identical to a serial one.
+- :class:`CampaignEngine` — consults a content-addressed on-disk cache,
+  then executes the misses: in-process with ``workers=1``, or with
+  ``workers=N`` as one run on a lazily spawned
+  :class:`~repro.experiments.scheduler.StealingScheduler` (the grid's
+  pending tasks are the payload, one chunk per task), which re-runs
+  the tasks of a worker that dies.  Results come back **in task order
+  regardless of completion order**, so a parallel campaign is
+  bit-for-bit identical to a serial one.
 - :class:`ResultCache` — maps ``sha256(version, runner id, canonical
   config JSON)`` (see :mod:`repro.experiments.confighash`) to a pickled
   result.  A corrupted or unreadable entry is treated as a miss and
@@ -31,13 +34,7 @@ import os
 import pickle
 import time
 import traceback
-from concurrent.futures import (
-    BrokenExecutor,
-    Executor,
-    ProcessPoolExecutor,
-    as_completed,
-)
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
@@ -126,22 +123,6 @@ class CampaignTaskError(RuntimeError):
         self.runner = runner
         self.config_hash = config_hash
         self.failure = failure
-
-
-@dataclass(frozen=True)
-class CampaignProgress:
-    """One completed (or cache-served) task, reported as it lands."""
-
-    index: int          # position in the submitted task list
-    completed: int      # how many tasks have landed so far (1-based)
-    total: int          # campaign size
-    runner: str         # runner id of this task
-    cached: bool        # served from the result cache?
-    seconds: float      # task compute time (0.0 for cache hits)
-    elapsed: float      # wall-clock seconds since the campaign started
-
-
-ProgressCallback = Callable[[CampaignProgress], None]
 
 
 @dataclass
@@ -248,12 +229,12 @@ class ResultCache:
 
 
 def _execute_task(task: CampaignTask) -> tuple[Any, float]:
-    """Run one task, timing it.  Module-level so executors can pickle it.
+    """Run one task, timing it (in-process or inside a pool worker).
 
     Exceptions come back as a :class:`TaskFailure` value rather than
-    propagating: a raising worker would otherwise surface as an opaque
-    ``BrokenProcessPool`` (or an unpicklable exception), losing which
-    config exploded.  The engine decides parent-side whether to raise.
+    propagating: an arbitrary exception may not pickle back from a
+    worker, and a raising chunk would be retried as if its worker were
+    at fault.  The engine decides parent-side whether to raise.
     """
     start = time.perf_counter()
     try:
@@ -267,25 +248,39 @@ def _execute_task(task: CampaignTask) -> tuple[Any, float]:
     return value, time.perf_counter() - start
 
 
+class _GridOutcomes(dict):
+    """A grid fold's accumulator: task index -> ``(value | TaskFailure,
+    seconds)``.  Indices never repeat across chunks, so merging is a
+    dict union."""
+
+    def merge(self, other: "_GridOutcomes") -> "_GridOutcomes":
+        return _GridOutcomes({**self, **other})
+
+
+def _run_grid_chunk(
+    tasks: Sequence[CampaignTask], start: int, stop: int
+) -> _GridOutcomes:
+    """The scheduler runner for a campaign grid: execute tasks
+    ``[start, stop)`` of the payload."""
+    return _GridOutcomes(
+        {i: _execute_task(tasks[i]) for i in range(start, stop)}
+    )
+
+
 class CampaignEngine:
     """Executes campaigns of tasks with fan-out, caching, and metrics.
 
     Parameters
     ----------
     workers:
-        ``1`` runs tasks serially in-process; ``N > 1`` fans out over a
-        ``ProcessPoolExecutor`` (results stay in task order either way).
+        ``1`` runs tasks serially in-process (what profiling needs);
+        ``N > 1`` runs each grid on a persistent
+        :class:`~repro.experiments.scheduler.StealingScheduler` of N
+        workers, spawned on first use.  A worker that dies mid-grid is
+        respawned and its tasks re-run; results stay in task order
+        either way.
     cache_dir:
         Root of the on-disk result cache; ``None`` disables caching.
-    cache_version:
-        Cache namespace — bump it to invalidate previous results.
-    progress:
-        Optional callback invoked once per landed task with a
-        :class:`CampaignProgress`.
-    executor_factory:
-        Override the parallel executor (e.g. a thread pool in tests).
-        Called with the worker count; must return a ``concurrent.futures``
-        executor.  Ignored when ``workers <= 1``.
     telemetry:
         Enable per-scenario metrics collection: every scenario config
         run through :meth:`run_scenarios` gets ``telemetry=True`` and
@@ -301,21 +296,20 @@ class CampaignEngine:
         config, hence of the cache key, so packet and fluid runs never
         share cache entries.
     fail_fast:
-        ``True`` (default) re-raises the first failing task as a
+        ``True`` (default) raises the lowest-index failing task as a
         :class:`CampaignTaskError` naming the cell and its config hash.
         ``False`` records failures (``None`` in the results list,
-        errors in :attr:`last_failures`) and keeps the campaign
-        running, so one exploding cell cannot sink an hours-long sweep.
-        Failures are never cached either way.
+        errors in :attr:`last_failures` and :attr:`all_failures`) and
+        keeps the campaign running, so one exploding cell cannot sink
+        an hours-long sweep.  Failures are never cached either way.  A
+        task that kills its worker every time it runs raises in both
+        modes once the scheduler's retry budget is spent.
     """
 
     def __init__(
         self,
         workers: int = 1,
         cache_dir: str | os.PathLike | None = None,
-        cache_version: str = CACHE_VERSION,
-        progress: ProgressCallback | None = None,
-        executor_factory: Callable[[int], Executor] | None = None,
         telemetry: bool = False,
         trace: bool = False,
         mode: str | None = None,
@@ -323,12 +317,8 @@ class CampaignEngine:
     ) -> None:
         self.workers = max(1, int(workers))
         self.cache: ResultCache | None = (
-            ResultCache(cache_dir, cache_version)
-            if cache_dir is not None
-            else None
+            ResultCache(cache_dir) if cache_dir is not None else None
         )
-        self.progress = progress
-        self.executor_factory = executor_factory
         self.telemetry = bool(telemetry)
         self.trace = bool(trace)
         self.mode = mode
@@ -336,6 +326,8 @@ class CampaignEngine:
         #: Failures of the most recent :meth:`run_tasks` call (only
         #: populated with ``fail_fast=False``).
         self.last_failures: list[CampaignTaskError] = []
+        #: Failures of every :meth:`run_tasks` call, in order.
+        self.all_failures: list[CampaignTaskError] = []
         #: Metrics of the most recent :meth:`run_tasks` call.
         self.last_report = CampaignReport()
         #: Cumulative metrics across this engine's lifetime.
@@ -343,12 +335,10 @@ class CampaignEngine:
         #: Telemetry snapshots of every metered scenario this engine ran
         #: (cache hits included), in completion-batch order.
         self.telemetry_records: list[dict] = []
-        # Lazily-created persistent worker pool: spawning a process pool
-        # costs hundreds of ms per worker (interpreter + import), which
-        # used to be paid on *every* run_tasks call and dominated small
-        # populations.  The pool now lives as long as the engine (or
-        # until close()); warm workers amortize to ~zero per call.
-        self._pool: Executor | None = None
+        # The worker pool lives as long as the engine (or until
+        # close()): spawning costs tens of ms per worker, which warm
+        # workers amortize to ~zero per run_tasks call.
+        self._pool = None
 
     # -- public API ----------------------------------------------------
 
@@ -369,54 +359,14 @@ class CampaignEngine:
     def run_tasks(self, tasks: Sequence[CampaignTask]) -> list[Any]:
         """Run a campaign; returns results in task order.
 
-        Cache hits are served without executing; misses run through the
-        configured executor and are written back to the cache.  A task
-        that raises propagates the exception (fail fast) — partial
-        results are not cached beyond the tasks that already finished.
+        Cache hits are served without executing; misses run serially
+        or on the worker pool and are written back to the cache.
         """
         tasks = list(tasks)
         start = time.perf_counter()
         results: list[Any] = [None] * len(tasks)
         report = CampaignReport(total=len(tasks))
-        completed = 0
         self.last_failures = []
-
-        def settle(index: int, value: Any, seconds: float) -> Any:
-            """Classify one executed outcome; raises under fail-fast."""
-            if isinstance(value, TaskFailure):
-                error = CampaignTaskError(
-                    index=index,
-                    runner=tasks[index].runner_id,
-                    config_hash=tasks[index].key(),
-                    failure=value,
-                )
-                if self.fail_fast:
-                    raise error
-                report.failed += 1
-                self.last_failures.append(error)
-                return None
-            if self.cache is not None:
-                self.cache.store(tasks[index], value)
-            return value
-
-        def land(
-            index: int, value: Any, cached: bool, seconds: float
-        ) -> None:
-            nonlocal completed
-            results[index] = value
-            completed += 1
-            if self.progress is not None:
-                self.progress(
-                    CampaignProgress(
-                        index=index,
-                        completed=completed,
-                        total=len(tasks),
-                        runner=tasks[index].runner_id,
-                        cached=cached,
-                        seconds=seconds,
-                        elapsed=time.perf_counter() - start,
-                    )
-                )
 
         pending: list[int] = []
         for i, task in enumerate(tasks):
@@ -424,39 +374,35 @@ class CampaignEngine:
                 hit, value = self.cache.load(task)
                 if hit:
                     report.cache_hits += 1
-                    land(i, value, cached=True, seconds=0.0)
+                    results[i] = value
                     continue
             pending.append(i)
 
-        if pending and self.workers <= 1:
-            for i in pending:
-                value, seconds = _execute_task(tasks[i])
-                report.executed += 1
-                report.compute_seconds += seconds
-                land(i, settle(i, value, seconds), cached=False, seconds=seconds)
-        elif pending:
-            pool = self._executor()
-            try:
-                futures = {
-                    pool.submit(_execute_task, tasks[i]): i
-                    for i in pending
-                }
-                for future in as_completed(futures):
-                    i = futures[future]
-                    value, seconds = future.result()
-                    report.executed += 1
-                    report.compute_seconds += seconds
-                    land(
-                        i,
-                        settle(i, value, seconds),
-                        cached=False,
-                        seconds=seconds,
-                    )
-            except BrokenExecutor:
-                # A dead pool poisons every later submit; drop it so the
-                # next call starts fresh, then surface the failure.
-                self.close()
-                raise
+        if self.workers <= 1 or not pending:
+            # Lazy: under fail-fast a serial grid stops at its first
+            # failure, which is also its lowest-index one.
+            outcomes = (_execute_task(tasks[i]) for i in pending)
+        else:
+            outcomes = self._run_on_pool(tasks, pending)
+        for i, (value, seconds) in zip(pending, outcomes):
+            report.executed += 1
+            report.compute_seconds += seconds
+            if isinstance(value, TaskFailure):
+                error = CampaignTaskError(
+                    index=i,
+                    runner=tasks[i].runner_id,
+                    config_hash=tasks[i].key(),
+                    failure=value,
+                )
+                if self.fail_fast:
+                    raise error
+                report.failed += 1
+                self.last_failures.append(error)
+                self.all_failures.append(error)
+                continue
+            if self.cache is not None:
+                self.cache.store(tasks[i], value)
+            results[i] = value
 
         report.wall_seconds = time.perf_counter() - start
         self.last_report = report
@@ -484,18 +430,41 @@ class CampaignEngine:
                 }
             )
 
-    # -- internals -----------------------------------------------------
+    # -- the worker pool -----------------------------------------------
 
-    def _executor(self) -> Executor:
-        """The persistent pool, created on first parallel batch."""
+    def _scheduler(self):
+        """The persistent pool, spawned on first parallel use."""
         if self._pool is None:
-            self._pool = self._make_executor()
+            from repro.experiments.scheduler import StealingScheduler
+
+            self._pool = StealingScheduler(workers=self.workers)
         return self._pool
 
-    def _make_executor(self) -> Executor:
-        if self.executor_factory is not None:
-            return self.executor_factory(self.workers)
-        return ProcessPoolExecutor(max_workers=self.workers)
+    def _run_on_pool(
+        self, tasks: Sequence[CampaignTask], pending: Sequence[int]
+    ) -> list[tuple[Any, float]]:
+        """Execute ``tasks[i]`` for each pending ``i`` on the pool, as
+        one scheduler run with one chunk per task; outcomes in
+        ``pending`` order."""
+        grid = [tasks[i] for i in pending]
+        try:
+            outcomes, _report = self._scheduler().run(
+                grid,
+                [(j, j + 1) for j in range(len(grid))],
+                _run_grid_chunk,
+                workers=len(grid),
+            )
+        except CampaignTaskError as error:
+            # A task that killed its worker past the retry budget: name
+            # the task (and its cache key), not the scheduler chunk.
+            i = pending[error.index]
+            raise CampaignTaskError(
+                index=i,
+                runner=tasks[i].runner_id,
+                config_hash=tasks[i].key(),
+                failure=error.failure,
+            ) from None
+        return [outcomes[j] for j in range(len(grid))]
 
     def close(self) -> None:
         """Shut down the persistent worker pool (idempotent).
@@ -503,34 +472,25 @@ class CampaignEngine:
         The engine stays usable — the next parallel batch simply starts
         a fresh pool.
         """
-        pool = self._pool
-        self._pool = None
+        pool, self._pool = self._pool, None
         if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
+            pool.close()
 
     def warm_up(self) -> None:
         """Start the worker pool and wait for every worker to answer.
 
-        Timing-sensitive callers (the scaling curve) call this once so
-        process spawn + interpreter import cost never lands inside a
-        measured region.  Serial engines are a no-op.
+        Timing-sensitive callers call this once so process spawn cost
+        never lands inside a measured region.  Serial engines are a
+        no-op.
         """
-        if self.workers <= 1:
-            return
-        pool = self._executor()
-        futures = [pool.submit(_noop) for _ in range(self.workers)]
-        for future in futures:
-            future.result()
+        if self.workers > 1:
+            self._scheduler().warm_up()
 
     def __enter__(self) -> "CampaignEngine":
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-def _noop() -> None:
-    """Module-level no-op task (picklable) used by warm-up."""
 
 
 # -- process-wide default engine ---------------------------------------

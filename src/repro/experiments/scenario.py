@@ -478,8 +478,8 @@ def run_scenario(
     module's in-process population runner: every UE runs as its own
     seeded sub-simulation and the results merge exactly, so a campaign
     worker can execute a population cell like any other task.  Use
-    :func:`repro.experiments.sharding.run_sharded_scenario` to fan the
-    population out over worker processes instead.
+    :func:`repro.experiments.scheduler.run_stealing_scenario` to fan
+    the population out over worker processes instead.
     """
     if config.n_ues != 1:
         if hooks is not None:

@@ -1,19 +1,23 @@
-"""Work-stealing chunk scheduler for sharded population runs.
+"""The work-stealing worker pool: every multi-process run goes here.
 
-The static schedule in :mod:`repro.experiments.sharding` hands each of
-N workers one contiguous ``n_ues / N`` range.  That is simple and
-cacheable, but a skewed population (heterogeneous
-``ScenarioConfig.population`` mixes, or just unlucky seeds) leaves the
-run gated on its slowest shard while the other workers idle, and every
-:class:`~repro.experiments.sharding.ShardSpec` task re-pickles the full
-scenario config.
+A run is a picklable **payload** plus a list of ``(start, stop)``
+**chunks**, and a module-level **runner** that folds one chunk:
+``runner(payload, start, stop)`` returns an accumulator with a
+``.merge`` method.  Two kinds of work ride the pool:
 
-This module replaces that with a **pull-based work-stealing pool**:
+- a **population cell** (:func:`run_stealing_scenario`): the payload is
+  the :class:`~repro.experiments.scenario.ScenarioConfig`, chunks are
+  UE ranges from :func:`plan_chunks` (``chunk_ues`` per chunk, default
+  ~8 chunks per worker, heaviest first — longest-processing-time order
+  by population-group weight — so the run's tail is made of small
+  ones), and :func:`run_chunk` folds a range into a
+  :class:`~repro.experiments.sharding.ShardResult`;
+- a **campaign grid** (:class:`~repro.experiments.campaign.CampaignEngine`
+  with ``workers > 1``): the payload is the grid's pending task list,
+  one chunk per task in submission order.
 
-- the population splits into many small UE chunks (``chunk_ues`` per
-  chunk, default ~8 chunks per worker), planned heaviest-first
-  (longest-processing-time order, by population-group weight) so big
-  chunks land early and the run's tail is made of small ones;
+The pool mechanics:
+
 - **persistent warm workers** pull chunks from one shared priority
   queue — a fast worker that finishes its chunk simply requests the
   next one, so load balances itself without the parent guessing costs
@@ -30,17 +34,13 @@ This module replaces that with a **pull-based work-stealing pool**:
   Per-worker pipes have one writer per direction, so a death can only
   corrupt that worker's own channel — which the parent observes
   directly as EOF;
-- the base :class:`~repro.experiments.scenario.ScenarioConfig` ships
-  **once per worker** at run start; after that each dispatch is a
-  descriptor of a few dozen bytes (the :class:`SchedulerReport`
-  records the measured dispatch-bytes drop versus the static
-  one-``ShardSpec``-per-task encoding);
+- the payload ships **once per engaged worker** at run start; after
+  that each dispatch is a descriptor of a few dozen bytes (the
+  :class:`SchedulerReport` records both);
 - each worker folds its chunks **streaming** into one per-worker
-  accumulator (:func:`repro.experiments.sharding._fold_ues` per chunk,
-  then one :meth:`~repro.experiments.sharding.ShardResult.merge` per
-  chunk), and ships the accumulator to the parent exactly once, at
-  drain time — one monoidal merge per worker lands parent-side, not
-  one per chunk.
+  accumulator (one ``.merge`` per chunk) and ships it to the parent
+  exactly once, at drain time — one merge per worker lands
+  parent-side, not one per chunk.
 
 **Why the merge-invariant contract survives stealing**: per-UE seeds
 are ``derive_seed(config.seed, "ue", i)`` — a function of the cell seed
@@ -48,19 +48,21 @@ and the UE index only — and every merged quantity is an exact
 commutative monoid (integer byte counts, integer event counters,
 integer-nanosecond outage, histogram count/total/min/max), so the
 merged result is byte-identical no matter which worker ran which chunk
-in which order.  Chunk-to-worker assignment is *nondeterministic by
-design*; the merged settlement is deterministic by construction.
+in which order.  A grid's accumulator is keyed by task index, so its
+merge is a plain union.  Chunk-to-worker assignment is
+*nondeterministic by design*; the merged answer is deterministic by
+construction.
 
 **Failure handling**: a chunk whose fold raises is re-queued and
 retried (the raising worker keeps serving; its accumulator is
 untouched because the failed fold never reached it).  A worker that
-*dies* loses its accumulator, so every chunk it had folded — plus the
-one in flight — is re-queued on a respawned worker, each counted as a
-retry.  When any chunk exceeds ``max_retries`` the run raises
+*dies* loses its accumulator, so the chunk in flight — plus every
+chunk it had folded — is re-queued on a respawned worker, each counted
+as a retry.  When any chunk exceeds ``max_retries`` the run raises
 :class:`~repro.experiments.campaign.CampaignTaskError` carrying the
-chunk's content-addressed config hash (the same hash the static path's
-:class:`~repro.experiments.campaign.CampaignTask` would use), so a
-poisoned UE range is reproducible from the error alone.
+chunk's position and its content-addressed config hash (runner plus
+``(payload, start, stop)``), so a poisoned UE range is reproducible
+from the error alone.
 
 Entry points::
 
@@ -73,8 +75,7 @@ Entry points::
         r2 = run_stealing_scenario(cfg_b, workers=4, scheduler=sched)
 
     # CLI equivalent:
-    #   python -m repro run scale --ues 100000 --shards 8 \
-    #       --schedule steal --chunk-ues 64
+    #   python -m repro run scale --ues 100000 --shards 8 --chunk-ues 64
 """
 
 from __future__ import annotations
@@ -84,22 +85,22 @@ import multiprocessing
 import pickle
 import time
 import traceback
+import weakref
 from multiprocessing import connection as mp_conn
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.experiments.campaign import (
-    CampaignTask,
+    CACHE_VERSION,
     CampaignTaskError,
     TaskFailure,
 )
+from repro.experiments.confighash import config_key
 from repro.experiments.scenario import ScenarioConfig, ScenarioResult
 from repro.experiments.sharding import (
     ShardResult,
-    ShardSpec,
     _fold_ues,
     _merged_scenario_result,
-    run_shard,
 )
 
 #: Cap on the auto-sized chunk, so huge populations still get enough
@@ -195,34 +196,28 @@ class ChunkJob:
 class SchedulerReport:
     """Observability for one work-stealing run.
 
-    ``dispatch_bytes`` is what this run actually shipped to workers
-    (one config blob per engaged worker + one small descriptor per
-    chunk); ``static_dispatch_bytes`` is what the same chunking would
-    have cost under the static one-``ShardSpec``-per-task encoding
-    (full config pickled into every task) — the dedupe satellite's
-    measured drop.
+    ``dispatch_bytes`` is what this run actually shipped to workers:
+    one payload blob (``payload_bytes``) per engaged worker plus one
+    small descriptor per chunk dispatch.  ``per_worker`` pairs each
+    drained worker's id with its accumulator.
     """
 
     workers: int
-    chunk_ues: int
     n_chunks: int
-    config_bytes: int
+    payload_bytes: int
     dispatch_bytes: int
-    static_dispatch_bytes: int
     retries: int
     rounds: int
     jobs: list[ChunkJob] = field(default_factory=list)
-    per_worker: list[dict[str, Any]] = field(default_factory=list)
+    per_worker: list[tuple[str, Any]] = field(default_factory=list)
 
     def as_dict(self) -> dict[str, Any]:
         """JSON-able form (lands in ``extras["sharding"]``)."""
         return {
             "workers": self.workers,
-            "chunk_ues": self.chunk_ues,
             "n_chunks": self.n_chunks,
-            "config_bytes": self.config_bytes,
+            "payload_bytes": self.payload_bytes,
             "dispatch_bytes": self.dispatch_bytes,
-            "static_dispatch_bytes": self.static_dispatch_bytes,
             "retries": self.retries,
             "rounds": self.rounds,
             "jobs": [job.as_dict() for job in self.jobs],
@@ -232,16 +227,37 @@ class SchedulerReport:
 def run_chunk(
     config: ScenarioConfig, start: int, stop: int
 ) -> ShardResult:
-    """The default chunk runner: fold UEs ``[start, stop)`` serially."""
+    """The population runner: fold UEs ``[start, stop)`` serially.
+
+    The range must be a non-empty slice of the population: a UE index
+    past ``n_ues`` would still simulate (its seed derives from the
+    index alone) and silently inflate the cell.
+    """
+    if not 0 <= start < stop <= config.n_ues:
+        raise ValueError(
+            f"UE range [{start}, {stop}) is empty or outside the "
+            f"population ({config.n_ues} UEs)"
+        )
     return _fold_ues(config, start, stop)
 
 
-def _chunk_hash(config: ScenarioConfig, start: int, stop: int) -> str:
-    """The chunk's content-addressed config hash — the same key the
-    static path's ``CampaignTask(run_shard, ShardSpec(...))`` would
-    use, so a failing chunk is reproducible either way."""
-    spec = ShardSpec(scenario=config, ue_start=start, ue_stop=stop)
-    return CampaignTask(fn=run_shard, config=spec).key()
+def _runner_id(runner: Callable) -> str:
+    return f"{runner.__module__}.{runner.__qualname__}"
+
+
+def _chunk_hash(
+    runner: Callable, payload: Any, start: int, stop: int
+) -> str:
+    """The chunk's content-addressed config hash: ``config_key`` over
+    the runner and ``(payload, start, stop)``.  Empty when the payload
+    has no stable form — a campaign grid's task list holds runner
+    functions, and the engine names the failing task's own key."""
+    try:
+        return config_key(
+            _runner_id(runner), (payload, start, stop), CACHE_VERSION
+        )
+    except TypeError:
+        return ""
 
 
 # -- worker side ---------------------------------------------------------
@@ -255,9 +271,8 @@ def _serve_run(wid, run_id, blob, control) -> bool:
     the worker is the only writer in its direction, so nothing it does
     (including dying) can wedge a sibling's channel.
     """
-    config, runner = pickle.loads(blob)
+    payload, runner = pickle.loads(blob)
     acc = None
-    busy = 0.0
     control.send(("next", run_id, wid))
     while True:
         msg = control.recv()
@@ -276,7 +291,6 @@ def _serve_run(wid, run_id, blob, control) -> bool:
                     run_id,
                     wid,
                     pickle.dumps(acc, protocol=pickle.HIGHEST_PROTOCOL),
-                    busy,
                 )
             )
             return True
@@ -285,7 +299,7 @@ def _serve_run(wid, run_id, blob, control) -> bool:
         start, stop = msg[2], msg[3]
         t0 = time.perf_counter()
         try:
-            part = runner(config, start, stop)
+            part = runner(payload, start, stop)
         except Exception as exc:
             failure = TaskFailure(
                 error_type=type(exc).__name__,
@@ -297,7 +311,6 @@ def _serve_run(wid, run_id, blob, control) -> bool:
             )
             continue
         wall = time.perf_counter() - t0
-        busy += wall
         acc = part if acc is None else acc.merge(part)
         control.send(("done", run_id, wid, start, stop, wall))
 
@@ -319,6 +332,28 @@ def _worker_main(slot, gen, control) -> None:
                     return
     except (EOFError, OSError, KeyboardInterrupt):
         return
+
+
+def _stop_workers(slots: list) -> None:
+    """Stop every worker of a pool: its :meth:`StealingScheduler.close`,
+    which also runs when an unclosed pool is garbage collected."""
+    for handle in slots:
+        if handle is not None and handle.process.is_alive():
+            try:
+                handle.conn.send(("stop",))
+            except (BrokenPipeError, OSError):
+                pass
+    for handle in slots:
+        if handle is None:
+            continue
+        handle.process.join(timeout=2.0)
+        if handle.process.is_alive():
+            handle.process.terminate()
+            handle.process.join(timeout=2.0)
+        try:
+            handle.conn.close()
+        except OSError:
+            pass
 
 
 @dataclass
@@ -360,7 +395,7 @@ class StealingScheduler:
         self._slots: list[_WorkerSlot | None] = [None] * workers
         self._gen = [0] * workers
         self._run_counter = 0
-        self._closed = False
+        self._finalizer = weakref.finalize(self, _stop_workers, self._slots)
 
     # -- pool lifecycle --------------------------------------------------
 
@@ -397,7 +432,7 @@ class StealingScheduler:
         """Spawn every worker and wait for each to answer a ping, so
         the first :meth:`run` doesn't pay process start inside its
         timed region."""
-        if self._closed:
+        if not self._finalizer.alive:
             raise RuntimeError("scheduler is closed")
         self._ensure(self.workers)
         waiting: dict[Any, str] = {}
@@ -423,27 +458,8 @@ class StealingScheduler:
             )
 
     def close(self) -> None:
-        """Stop every worker and release the queue (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        for handle in self._slots:
-            if handle is not None and handle.process.is_alive():
-                try:
-                    handle.conn.send(("stop",))
-                except (BrokenPipeError, OSError):
-                    pass
-        for handle in self._slots:
-            if handle is None:
-                continue
-            handle.process.join(timeout=2.0)
-            if handle.process.is_alive():
-                handle.process.terminate()
-                handle.process.join(timeout=2.0)
-            try:
-                handle.conn.close()
-            except OSError:
-                pass
+        """Stop every worker (idempotent)."""
+        self._finalizer()
 
     def __enter__(self) -> "StealingScheduler":
         return self
@@ -455,41 +471,39 @@ class StealingScheduler:
 
     def run(
         self,
-        config: ScenarioConfig,
+        payload: Any,
+        chunks: Sequence[tuple[int, int]],
+        runner: Callable[[Any, int, int], Any],
         workers: int | None = None,
-        chunk_ues: int | None = None,
-        runner: Callable[[ScenarioConfig, int, int], ShardResult]
-        | None = None,
-    ) -> tuple[ShardResult, SchedulerReport]:
-        """Run one population cell over the pool; return the merged
-        :class:`~repro.experiments.sharding.ShardResult` and the run's
+    ) -> tuple[Any, SchedulerReport]:
+        """Fold ``runner(payload, start, stop)`` over ``chunks`` on the
+        pool; return the merged accumulator and the run's
         :class:`SchedulerReport`.
 
-        ``workers`` engages only the first N pool slots (capped at the
-        pool size) — what the scaling curve uses to measure several
-        worker counts on one warm pool.  ``runner`` substitutes the
-        chunk fold (module-level function of ``(config, start, stop)``;
-        tests inject failing runners); it ships to workers by pickle
-        reference inside the per-run config blob.
+        ``chunks`` are distinct ``(start, stop)`` ranges in dispatch
+        order: the first dispatches first, and a re-queued chunk keeps
+        its place.  ``runner`` is a module-level function (it ships to
+        workers by pickle reference inside the per-run payload blob)
+        whose result has an associative ``.merge``.  ``workers``
+        engages only the first N pool slots (capped at the pool size) —
+        what the scaling curve uses to measure several worker counts on
+        one warm pool.
         """
-        if self._closed:
+        if not self._finalizer.alive:
             raise RuntimeError("scheduler is closed")
         engaged = self.workers if workers is None else workers
         if engaged < 1:
             raise ValueError(f"worker count must be >= 1: {engaged}")
         engaged = min(engaged, self.workers)
-        if chunk_ues is None:
-            chunk_ues = default_chunk_ues(config.n_ues, engaged)
-        chunks = plan_chunks(config, chunk_ues)
-        chunk_runner = run_chunk if runner is None else runner
-        runner_id = (
-            f"{chunk_runner.__module__}.{chunk_runner.__qualname__}"
-        )
+        position = {tuple(chunk): i for i, chunk in enumerate(chunks)}
+        if not chunks or len(position) != len(chunks):
+            raise ValueError("a run needs distinct, non-empty chunks")
+        runner_id = _runner_id(runner)
         self._run_counter += 1
         run_id = self._run_counter
         self._ensure(engaged)
         blob = pickle.dumps(
-            (config, chunk_runner), protocol=pickle.HIGHEST_PROTOCOL
+            (payload, runner), protocol=pickle.HIGHEST_PROTOCOL
         )
 
         # Per-chunk state machine: queued -> assigned -> done, with
@@ -498,23 +512,16 @@ class StealingScheduler:
         # a worker's own messages are never needed to re-queue its
         # work after it dies.
         state: dict[tuple[int, int], dict[str, Any]] = {
-            (c.start, c.stop): {
-                "status": "queued",
-                "retries": 0,
-                "index": i,
-            }
-            for i, c in enumerate(chunks)
+            key: {"status": "queued", "retries": 0} for key in position
         }
-        #: Priority heap of queued chunks: heaviest first (LPT), start
-        #: index breaking ties for determinism of dispatch *order*
-        #: (assignment still races, by design).
-        heap: list[tuple[float, int, int]] = [
-            (-c.weight, c.start, c.stop) for c in chunks
+        #: Queued chunks by dispatch position (assignment to workers
+        #: still races, by design).
+        heap: list[tuple[int, int, int]] = [
+            (i, start, stop) for (start, stop), i in position.items()
         ]
         heapq.heapify(heap)
         jobs: list[ChunkJob] = []
-        accs: list[ShardResult] = []
-        per_worker: list[dict[str, Any]] = []
+        per_worker: list[tuple[str, Any]] = []
         #: wid -> chunk keys folded into that worker's accumulator
         #: (all lost if the worker dies before draining).
         folded: dict[str, set[tuple[int, int]]] = {}
@@ -526,11 +533,14 @@ class StealingScheduler:
         dispatched_descriptor_bytes = 0
 
         def engage(slot: int, handle: _WorkerSlot) -> None:
-            handle.conn.send(("run", run_id, blob))
             wid = f"{slot}:{handle.gen}"
             active[slot] = wid
             folded[wid] = set()
             in_flight[wid] = None
+            try:
+                handle.conn.send(("run", run_id, blob))
+            except (BrokenPipeError, OSError):
+                pass  # the death sweep will pick it up
 
         def dispatch_next(wid: str) -> None:
             """Answer a worker's next/done/error with a fresh chunk."""
@@ -587,17 +597,12 @@ class StealingScheduler:
                     )
                 self._abort_run(run_id, active)
                 raise CampaignTaskError(
-                    index=entry["index"],
+                    index=position[key],
                     runner=runner_id,
-                    config_hash=_chunk_hash(config, *key),
+                    config_hash=_chunk_hash(runner, payload, *key),
                     failure=failure,
                 )
-            heapq.heappush(
-                heap, (-chunk_weight(key), key[0], key[1])
-            )
-
-        def chunk_weight(key: tuple[int, int]) -> float:
-            return config.weight_between(key[0], key[1])
+            heapq.heappush(heap, (position[key], key[0], key[1]))
 
         def reap(slot: int, expecting: set | None = None) -> None:
             """Recover a dead worker: re-queue everything it had
@@ -607,10 +612,15 @@ class StealingScheduler:
                 return
             if expecting is not None:
                 expecting.discard(wid)
+            # EOF can arrive before the process is reapable; wait for
+            # it, so a pool reused after this run aborts sees it dead.
+            self._slots[slot].process.join(timeout=1.0)
             lost = sorted(folded.pop(wid, set()))
             flying = in_flight.pop(wid, None)
             if flying is not None and flying not in lost:
-                lost.append(flying)
+                # The chunk the worker died running re-queues first, so
+                # it (not a bystander) exhausts the retry budget first.
+                lost.insert(0, flying)
             for key in lost:
                 requeue(key, wid, "lost")
             replacement = self._spawn(slot)
@@ -735,41 +745,18 @@ class StealingScheduler:
                     in_flight.pop(wid, None)
                     acc = pickle.loads(msg[3])
                     if acc is not None:
-                        accs.append(acc)
-                        per_worker.append(
-                            {
-                                "worker": wid,
-                                "ue_start": acc.ue_start,
-                                "ue_stop": acc.ue_stop,
-                                "events": acc.processed_events,
-                                "wall_s": acc.wall_s,
-                                "cpu_s": acc.cpu_s,
-                                "rss_max_bytes": acc.rss_max_bytes,
-                            }
-                        )
+                        per_worker.append((wid, acc))
 
-        merged = accs[0]
-        for acc in accs[1:]:
+        merged = per_worker[0][1]
+        for _wid, acc in per_worker[1:]:
             merged = merged.merge(acc)
-        spec_bytes = len(
-            pickle.dumps(
-                ShardSpec(
-                    scenario=config,
-                    ue_start=chunks[0].start,
-                    ue_stop=chunks[0].stop,
-                ),
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-        )
         report = SchedulerReport(
             workers=engaged,
-            chunk_ues=chunk_ues,
             n_chunks=len(chunks),
-            config_bytes=len(blob),
+            payload_bytes=len(blob),
             dispatch_bytes=(
                 len(blob) * engaged + dispatched_descriptor_bytes
             ),
-            static_dispatch_bytes=spec_bytes * len(chunks),
             retries=sum(entry["retries"] for entry in state.values()),
             rounds=rounds,
             jobs=jobs,
@@ -810,8 +797,7 @@ def run_stealing_scenario(
     workers: int,
     chunk_ues: int | None = None,
     scheduler: StealingScheduler | None = None,
-    runner: Callable[[ScenarioConfig, int, int], ShardResult]
-    | None = None,
+    runner: Callable[[ScenarioConfig, int, int], ShardResult] = run_chunk,
     max_retries: int | None = None,
 ) -> ScenarioResult:
     """Run a population cell through the work-stealing scheduler.
@@ -820,9 +806,11 @@ def run_stealing_scenario(
     created and torn down around the run; pass an existing
     :class:`StealingScheduler` to reuse its warm pool (then ``workers``
     engages that many of its slots and ``max_retries`` is the pool's).
-    The merged result is byte-identical to
-    :func:`repro.experiments.sharding.run_population` and to the static
-    schedule at any shard count — the merge-invariant contract.
+    ``chunk_ues`` defaults to :func:`default_chunk_ues`; ``runner``
+    substitutes the chunk fold (tests inject failing ones).  The merged
+    result is byte-identical to
+    :func:`repro.experiments.sharding.run_population` at any worker
+    count and chunk size — the merge-invariant contract.
     """
     if config.trace or config.trace_path is not None:
         raise ValueError(
@@ -836,17 +824,40 @@ def run_stealing_scenario(
             max_retries=2 if max_retries is None else max_retries,
         )
     try:
+        if chunk_ues is None:
+            chunk_ues = default_chunk_ues(
+                config.n_ues, min(workers, scheduler.workers)
+            )
+        chunks = [(c.start, c.stop) for c in plan_chunks(config, chunk_ues)]
         merged, report = scheduler.run(
-            config, workers=workers, chunk_ues=chunk_ues, runner=runner
+            config, chunks, runner, workers=workers
         )
     finally:
         if owns:
             scheduler.close()
+    if merged.charging.ue_count != config.n_ues:
+        # A substituted runner that skipped UEs: merging would report
+        # a smaller cell under the full cell's config.
+        raise RuntimeError(
+            f"partial population: chunks folded "
+            f"{merged.charging.ue_count} of {config.n_ues} UEs"
+        )
+    per_shard = [
+        {
+            "worker": wid,
+            "ue_start": acc.ue_start,
+            "ue_stop": acc.ue_stop,
+            "events": acc.processed_events,
+            "wall_s": acc.wall_s,
+            "cpu_s": acc.cpu_s,
+            "rss_max_bytes": acc.rss_max_bytes,
+        }
+        for wid, acc in report.per_worker
+    ]
     return _merged_scenario_result(
         config,
         merged,
-        per_shard=report.per_worker,
+        per_shard=per_shard,
         shards=report.workers,
-        schedule="steal",
-        scheduler_info=report.as_dict(),
+        scheduler_info={"chunk_ues": chunk_ues, **report.as_dict()},
     )

@@ -1,11 +1,10 @@
-"""Sharded million-UE campaigns: population cells over worker processes.
+"""Population cells: one ScenarioConfig, many UEs, one exact merge.
 
 One :class:`~repro.experiments.scenario.ScenarioConfig` with
 ``n_ues > 1`` models a cell-scale UE population behind a single
-gateway/OFCS boundary.  This module splits that population into N
-**shards** — contiguous UE ranges, each a seeded sub-simulation — runs
-them on the campaign engine's process pool, and merges the results
-*exactly*:
+gateway/OFCS boundary.  This module defines how such a cell is
+computed in pieces and merged *exactly*; the work-stealing pool in
+:mod:`repro.experiments.scheduler` runs the pieces on worker processes:
 
 - every UE ``u`` runs as its own sub-simulation whose root seed is
   ``derive_seed(config.seed, "ue", u)`` (the same SHA-256 substream
@@ -13,14 +12,14 @@ them on the campaign engine's process pool, and merges the results
   each UE's channel/congestion/workload streams — including the
   fluid-mode :class:`~repro.sim.sampling.ChunkedRandom` block draws —
   are independent of every other UE's);
-- a shard folds its UEs **streaming**: every UE publishes into one
-  telemetry session owned by the shard, each finished UE's charging
-  state is merged into the shard accumulator, and the per-UE result is
-  dropped, so shard memory stays bounded by one live scenario (use
+- a contiguous UE range folds **streaming**: every UE publishes into
+  one telemetry session owned by the fold, each finished UE's charging
+  state is merged into the fold's accumulator, and the per-UE result
+  is dropped, so fold memory stays bounded by one live scenario (use
   ``mode="fluid"`` to bound the live scenario's event count too) plus
   one session's series, whatever the population size;
-- shard results merge through commutative monoids
-  (:func:`repro.telemetry.merge.merge_snapshots`,
+- fold results (:class:`ShardResult`) merge through commutative
+  monoids (:func:`repro.telemetry.merge.merge_snapshots`,
   :meth:`repro.telemetry.accounting.AccountingTable.merged`,
   :class:`repro.charging.merge.ChargingAggregate`), so the merged
   byte-accounting identity ``counted − Σ losses_by_layer == received``
@@ -30,31 +29,20 @@ them on the campaign engine's process pool, and merges the results
 **The merge-invariant contract** (locked down by
 ``tests/experiments/test_sharding.py`` and the ``shard-smoke`` CI
 job): per-UE seeds depend only on ``(config.seed, ue index)``, never
-on the shard layout, so for a fixed seed the merged result —
-ground-truth pair, both parties' views, legacy charged volume, metric
-snapshot, accounting table, and Algorithm 1 settlement — is
-**byte-identical for every shard count**, including ``shards=1`` and
-the in-process :func:`run_population` path that
+on how the population is split, so for a fixed seed the merged result
+— ground-truth pair, both parties' views, legacy charged volume,
+metric snapshot, accounting table, and Algorithm 1 settlement — is
+**byte-identical at every worker count and chunk size**, including the
+in-process :func:`run_population` path that
 :func:`~repro.experiments.scenario.run_scenario` delegates to.
-
-Shards ride the existing campaign plumbing: :func:`run_shard` is a
-module-level pure function of a picklable :class:`ShardSpec`, so the
-:class:`~repro.experiments.campaign.CampaignEngine` gives fan-out
-(``ProcessPoolExecutor``), content-addressed shard-result caching, and
-:class:`~repro.experiments.campaign.CampaignTaskError` attribution for
-free.  Note the cache keys a shard by its UE *range*: re-running the
-same population at the same shard count is all cache hits, while a
-different shard count recomputes (the merged result is identical
-either way).
 
 Entry points::
 
     # fan a 100k-UE cell out over 8 worker processes
-    result = run_sharded_scenario(
+    result = run_stealing_scenario(
         ScenarioConfig(app="vridge", n_ues=100_000, mode="fluid",
                        telemetry=True),
-        shards=8,
-        engine=CampaignEngine(workers=8),
+        workers=8,
     )
 
     # CLI equivalent (the scaling-curve experiment):
@@ -64,15 +52,10 @@ Entry points::
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
-from typing import Any, Iterable, Sequence
+from dataclasses import dataclass, replace
+from typing import Any, Iterable
 
 from repro.charging.merge import ChargingAggregate
-from repro.experiments.campaign import (
-    CampaignEngine,
-    CampaignTask,
-    resolve_engine,
-)
 from repro import telemetry
 from repro.experiments.scenario import (
     ChargingScheme,
@@ -123,34 +106,6 @@ def per_ue_config(scenario: ScenarioConfig, index: int) -> ScenarioConfig:
         trace_path=None,
         **scenario.ue_overrides(index),
     )
-
-
-@dataclass(frozen=True)
-class ShardSpec:
-    """One shard: a contiguous UE range ``[ue_start, ue_stop)`` of a
-    population scenario.  Picklable and content-addressable, so it can
-    ride the campaign cache like any other task config."""
-
-    scenario: ScenarioConfig
-    ue_start: int
-    ue_stop: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.ue_start < self.ue_stop:
-            raise ValueError(
-                f"empty or negative UE range: "
-                f"[{self.ue_start}, {self.ue_stop})"
-            )
-        if self.ue_stop > self.scenario.n_ues:
-            raise ValueError(
-                f"UE range [{self.ue_start}, {self.ue_stop}) exceeds "
-                f"the population ({self.scenario.n_ues} UEs)"
-            )
-
-    @property
-    def ue_count(self) -> int:
-        """How many UEs this shard simulates."""
-        return self.ue_stop - self.ue_start
 
 
 @dataclass
@@ -277,53 +232,11 @@ def _fold_ues(
     )
 
 
-def run_shard(spec: ShardSpec) -> ShardResult:
-    """Execute one shard (module-level: picklable, cacheable)."""
-    return _fold_ues(spec.scenario, spec.ue_start, spec.ue_stop)
-
-
-def partition_population(n_ues: int, shards: int) -> list[tuple[int, int]]:
-    """Contiguous, balanced UE ranges covering ``[0, n_ues)``.
-
-    Range sizes differ by at most one; the shard count is clamped to
-    the population (an empty shard would be pure overhead).
-    """
-    if n_ues < 1:
-        raise ValueError(f"population must be >= 1 UE: {n_ues}")
-    if shards < 1:
-        raise ValueError(f"shard count must be >= 1: {shards}")
-    shards = min(shards, n_ues)
-    base, extra = divmod(n_ues, shards)
-    ranges = []
-    start = 0
-    for i in range(shards):
-        stop = start + base + (1 if i < extra else 0)
-        ranges.append((start, stop))
-        start = stop
-    return ranges
-
-
-def shard_tasks(
-    config: ScenarioConfig, shards: int
-) -> list[CampaignTask]:
-    """The campaign tasks of a sharded population run."""
-    return [
-        CampaignTask(
-            fn=run_shard,
-            config=ShardSpec(
-                scenario=config, ue_start=start, ue_stop=stop
-            ),
-        )
-        for start, stop in partition_population(config.n_ues, shards)
-    ]
-
-
 def _merged_scenario_result(
     config: ScenarioConfig,
     merged: ShardResult,
     per_shard: list[dict[str, Any]] | None = None,
     shards: int = 1,
-    schedule: str = "static",
     scheduler_info: dict[str, Any] | None = None,
 ) -> ScenarioResult:
     """Assemble the population-level :class:`ScenarioResult`."""
@@ -333,7 +246,6 @@ def _merged_scenario_result(
         "sharding": {
             "shards": shards,
             "n_ues": config.n_ues,
-            "schedule": schedule,
             "rss_max_bytes": merged.rss_max_bytes,
             "compute_seconds": merged.cpu_s,
             "fold_wall_seconds": merged.wall_s,
@@ -366,13 +278,14 @@ def _merged_scenario_result(
 
 
 def run_population(config: ScenarioConfig) -> ScenarioResult:
-    """Run a population cell in-process (the one-shard fold).
+    """Run a population cell in-process (one fold over every UE).
 
     This is what :func:`repro.experiments.scenario.run_scenario`
     delegates to for ``n_ues > 1``, so a population config behaves
     like any other scenario inside a campaign worker.  By the
     merge-invariant contract its result is byte-identical to
-    :func:`run_sharded_scenario` at any shard count.
+    :func:`~repro.experiments.scheduler.run_stealing_scenario` at any
+    worker count.
     """
     if config.trace or config.trace_path is not None:
         raise ValueError(
@@ -381,91 +294,6 @@ def run_population(config: ScenarioConfig) -> ScenarioResult:
         )
     merged = _fold_ues(config, 0, config.n_ues)
     return _merged_scenario_result(config, merged)
-
-
-def run_sharded_scenario(
-    config: ScenarioConfig,
-    shards: int,
-    engine: CampaignEngine | None = None,
-    schedule: str = "static",
-    chunk_ues: int | None = None,
-    scheduler=None,
-) -> ScenarioResult:
-    """Run a population cell as ``shards`` sub-simulations and merge.
-
-    ``schedule`` picks the fan-out strategy:
-
-    - ``"static"`` (default) — the PR 7 path: one contiguous UE range
-      per shard through ``engine`` (default: the process-wide campaign
-      engine), so ``CampaignEngine(workers=N)`` fans them out over N
-      processes and a configured cache serves repeated shard ranges
-      without recomputing.  Simple, cacheable, but a straggler shard
-      gates the whole run.
-    - ``"steal"`` — the work-stealing chunk scheduler
-      (:mod:`repro.experiments.scheduler`): the population splits into
-      many small chunks (``chunk_ues`` per chunk, auto-sized by
-      default) pulled by ``shards`` persistent warm workers from one
-      shared queue, heaviest chunks first.  The base config ships once
-      per worker; chunk descriptors are a few bytes.  ``scheduler``
-      reuses an existing :class:`~repro.experiments.scheduler.StealingScheduler`
-      pool across runs.
-
-    Both schedules produce the byte-identical merged result (the
-    merge-invariant contract: per-UE seeds depend only on the cell seed
-    and UE index).  A failing shard or chunk surfaces as
-    :class:`~repro.experiments.campaign.CampaignTaskError` naming the
-    failed range's config hash; a partial population is never silently
-    merged.
-    """
-    if config.trace or config.trace_path is not None:
-        raise ValueError(
-            "population runs merge metric snapshots, not trace streams; "
-            "run with trace off (or trace a single-UE scenario)"
-        )
-    if schedule not in ("static", "steal"):
-        raise ValueError(
-            f"unknown schedule {schedule!r}; choose 'static' or 'steal'"
-        )
-    if schedule == "steal":
-        from repro.experiments.scheduler import run_stealing_scenario
-
-        return run_stealing_scenario(
-            config, workers=shards, chunk_ues=chunk_ues,
-            scheduler=scheduler,
-        )
-    if chunk_ues is not None:
-        raise ValueError(
-            "chunk_ues only applies to schedule='steal'; the static "
-            "schedule always runs one contiguous range per shard"
-        )
-    tasks = shard_tasks(config, shards)
-    engine = resolve_engine(engine)
-    results: Sequence[ShardResult | None] = engine.run_tasks(tasks)
-    missing = [i for i, r in enumerate(results) if r is None]
-    if missing:
-        if engine.last_failures:
-            raise engine.last_failures[0]
-        raise RuntimeError(
-            f"shards {missing} produced no result; cannot merge a "
-            f"partial population"
-        )
-    merged = results[0]
-    for result in results[1:]:
-        merged = merged.merge(result)
-    per_shard = [
-        {
-            "ue_start": r.ue_start,
-            "ue_stop": r.ue_stop,
-            "events": r.processed_events,
-            "wall_s": r.wall_s,
-            "cpu_s": r.cpu_s,
-            "rss_max_bytes": r.rss_max_bytes,
-        }
-        for r in results
-    ]
-    return _merged_scenario_result(
-        config, merged, per_shard=per_shard, shards=len(tasks)
-    )
 
 
 # -- the scaling-curve experiment ---------------------------------------
@@ -493,7 +321,6 @@ class ScalingPoint:
     #: Summed worker CPU seconds (Σ per-shard/per-chunk
     #: ``process_time``), the CPU cost the run would pay single-threaded.
     cpu_s: float = 0.0
-    schedule: str = "static"
     chunk_ues: int | None = None
 
     @property
@@ -539,7 +366,6 @@ class ScalingPoint:
         return {
             "shards": self.shards,
             "n_ues": self.n_ues,
-            "schedule": self.schedule,
             "chunk_ues": self.chunk_ues,
             "wall_s": self.wall_s,
             "cpu_s": self.cpu_s,
@@ -577,60 +403,38 @@ def _scaling_state(result: ScenarioResult) -> tuple:
 def scaling_curve(
     config: ScenarioConfig,
     shard_counts: Iterable[int],
-    engine_factory=None,
-    schedule: str = "static",
     chunk_ues: int | None = None,
 ) -> list[ScalingPoint]:
-    """Measure the same population cell at several shard counts.
+    """Measure the same population cell at several worker counts.
 
-    All points share one uncached engine (``schedule="static"``) or one
-    work-stealing scheduler pool (``schedule="steal"``) sized to the
-    widest shard count, and its worker pool is spawned and warmed
-    (interpreter start + module imports) *before* the first timed
-    region — so the curve measures shard compute, not one-off pool
-    setup, and stays monotone even at populations small enough that
-    process spawning would otherwise dominate.  ``engine_factory(shards)``
-    overrides engine construction per point on the static path (tests
-    use this to substitute thread pools); factory-built engines are
-    warmed too when they support it.  Each point times the whole
-    sharded run and records peak shard RSS plus the merged accounting
-    identity.  Every point's merged charging state, metric snapshot,
-    and Algorithm 1 settlement are compared byte-for-byte against the
-    first point's (``matches_first``) — the shard-count invariance the
-    ``shard-smoke`` CI job gates on.
+    All points share one work-stealing pool sized to the widest count,
+    spawned and warmed (process start + a ping round trip) *before*
+    the first timed region — so the curve measures shard compute, not
+    one-off pool setup, and stays monotone even at populations small
+    enough that process spawning would otherwise dominate.  Each point
+    times the whole run and records peak worker RSS plus the merged
+    accounting identity.  Every point's merged charging state, metric
+    snapshot, and Algorithm 1 settlement are compared byte-for-byte
+    against the first point's (``matches_first``) — the worker-count
+    invariance the ``shard-smoke`` CI job gates on.
     """
+    from repro.experiments.scheduler import (
+        StealingScheduler,
+        run_stealing_scenario,
+    )
+
     counts = list(shard_counts)
     points: list[ScalingPoint] = []
+    if not counts:
+        return points
     reference: tuple | None = None
     reference_settled: float | None = None
-    shared: CampaignEngine | None = None
-    shared_scheduler = None
-    if schedule == "steal" and counts:
-        from repro.experiments.scheduler import StealingScheduler
-
-        shared_scheduler = StealingScheduler(workers=max(counts))
-        shared_scheduler.warm_up()
-    elif engine_factory is None and counts:
-        shared = CampaignEngine(workers=max(counts))
-        shared.warm_up()
-    try:
+    with StealingScheduler(workers=max(counts)) as scheduler:
+        scheduler.warm_up()
         for shards in counts:
-            engine = None
-            if shared is not None or shared_scheduler is not None:
-                engine = shared
-            else:
-                engine = engine_factory(shards)
-                warm = getattr(engine, "warm_up", None)
-                if warm is not None:
-                    warm()
             t0 = time.perf_counter()
-            result = run_sharded_scenario(
-                config,
-                shards,
-                engine=engine,
-                schedule=schedule,
-                chunk_ues=chunk_ues,
-                scheduler=shared_scheduler,
+            result = run_stealing_scenario(
+                config, shards, chunk_ues=chunk_ues, scheduler=scheduler
             )
             wall = time.perf_counter() - t0
             settled = charge_with_scheme(
@@ -671,13 +475,7 @@ def scaling_curve(
                         and settled == reference_settled
                     ),
                     cpu_s=sharding["compute_seconds"],
-                    schedule=sharding.get("schedule", "static"),
-                    chunk_ues=sharding.get("chunk_ues"),
+                    chunk_ues=sharding["chunk_ues"],
                 )
             )
-    finally:
-        if shared is not None:
-            shared.close()
-        if shared_scheduler is not None:
-            shared_scheduler.close()
     return points

@@ -81,7 +81,8 @@ class TestArchitectureDoc:
         symbols = set(documented_symbols(ARCHITECTURE_DOC))
         for required in (
             "repro.experiments.sharding",
-            "repro.experiments.sharding.run_sharded_scenario",
+            "repro.experiments.scheduler.StealingScheduler",
+            "repro.experiments.scheduler.run_stealing_scenario",
             "repro.telemetry.merge.merge_snapshots",
             "repro.telemetry.accounting.AccountingTable.merged",
             "repro.charging.merge.ChargingAggregate",

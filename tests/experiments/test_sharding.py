@@ -1,13 +1,13 @@
-"""Sharded population runs: the merge-invariant contract.
+"""Population cells: the merge-invariant contract.
 
 The contract (:mod:`repro.experiments.sharding`): a population cell's
 merged result — ground truth, both parties' views, legacy volume,
 metric snapshot, accounting table, Algorithm 1 settlement — depends
-only on ``(seed, n_ues)``, never on how the population is partitioned
-into shards.  These tests pin that down on a DualRunner-style grid
-(packet and fluid modes, uplink and downlink apps, both negotiation
-schemes) plus the campaign plumbing around it (caching, failure
-attribution, trace rejection).
+only on ``(seed, n_ues)``, never on how the population is split into
+chunks or spread over workers.  These tests pin that down on a
+DualRunner-style grid (packet and fluid modes, uplink and downlink
+apps, both negotiation schemes) over the work-stealing pool, plus the
+plumbing around it (caching, failure attribution, trace rejection).
 """
 
 from __future__ import annotations
@@ -16,11 +16,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.experiments.campaign import (
-    CampaignEngine,
-    CampaignTaskError,
-    TaskFailure,
-)
+from repro.experiments.campaign import CampaignEngine, CampaignTaskError
 from repro.experiments.scenario import (
     ChargingScheme,
     ScenarioConfig,
@@ -28,13 +24,16 @@ from repro.experiments.scenario import (
     charge_with_scheme,
     run_scenario,
 )
+from repro.experiments.scheduler import (
+    StealingScheduler,
+    default_chunk_ues,
+    plan_chunks,
+    run_chunk,
+    run_stealing_scenario,
+)
 from repro.experiments.sharding import (
-    ShardSpec,
-    partition_population,
     per_ue_config,
     run_population,
-    run_shard,
-    run_sharded_scenario,
     scaling_curve,
 )
 from repro.sim.rng import derive_seed
@@ -53,6 +52,24 @@ GRID = [
 ]
 
 SCHEMES = (ChargingScheme.TLC_OPTIMAL, ChargingScheme.TLC_HONEST)
+
+
+@pytest.fixture(scope="module")
+def pool():
+    """One warm work-stealing pool shared by this module's runs."""
+    with StealingScheduler(workers=4) as scheduler:
+        scheduler.warm_up()
+        yield scheduler
+
+
+def _always_raise(config, start, stop):
+    """A chunk runner that always fails (module level: picklable)."""
+    raise ValueError(f"chunk [{start}, {stop}) exploded")
+
+
+def _first_ue_only(config, start, stop):
+    """A lossy runner: folds only the first UE of each chunk."""
+    return run_chunk(config, start, start + 1)
 
 
 def merged_state(result: ScenarioResult) -> tuple:
@@ -74,38 +91,21 @@ def merged_state(result: ScenarioResult) -> tuple:
     )
 
 
-# -- partitioning -------------------------------------------------------
+# -- chunking -----------------------------------------------------------
 
 
-def test_partition_covers_population_contiguously():
-    for n_ues, shards in [(10, 3), (7, 7), (100, 8), (5, 1)]:
-        ranges = partition_population(n_ues, shards)
+def test_chunks_cover_population_contiguously():
+    for n_ues, chunk_ues in [(10, 3), (7, 7), (100, 8), (5, 1)]:
+        ranges = sorted(
+            (c.start, c.stop)
+            for c in plan_chunks(replace(GRID[0], n_ues=n_ues), chunk_ues)
+        )
         assert ranges[0][0] == 0
         assert ranges[-1][1] == n_ues
         for (_, stop), (start, _) in zip(ranges, ranges[1:]):
             assert stop == start
-        sizes = [stop - start for start, stop in ranges]
-        assert max(sizes) - min(sizes) <= 1
-
-
-def test_partition_clamps_shards_to_population():
-    assert partition_population(3, 10) == [(0, 1), (1, 2), (2, 3)]
-
-
-def test_partition_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        partition_population(0, 4)
-    with pytest.raises(ValueError):
-        partition_population(10, 0)
-
-
-def test_shard_spec_validates_range():
-    scenario = replace(GRID[0], n_ues=4)
-    with pytest.raises(ValueError):
-        ShardSpec(scenario=scenario, ue_start=2, ue_stop=2)
-    with pytest.raises(ValueError):
-        ShardSpec(scenario=scenario, ue_start=0, ue_stop=5)
-    assert ShardSpec(scenario, 1, 4).ue_count == 3
+        assert all(stop - start == chunk_ues for start, stop in ranges[:-1])
+        assert 1 <= ranges[-1][1] - ranges[-1][0] <= chunk_ues
 
 
 # -- seeding ------------------------------------------------------------
@@ -140,9 +140,8 @@ def test_population_equals_fold_of_individual_ue_runs():
 @pytest.mark.parametrize(
     "scenario", GRID, ids=[c.app + "-" + c.mode for c in GRID]
 )
-def test_merged_state_is_shard_count_invariant(scenario):
-    """1-, 2-, and 4-shard runs merge to the byte-identical cell."""
-    engine = CampaignEngine(workers=1)
+def test_merged_state_is_worker_and_chunk_invariant(scenario, pool):
+    """Every (workers, chunk size) run merges to the in-process cell."""
     reference = run_population(scenario)
     assert reference.extras["telemetry"]["accounting"]["reconciles"]
     settlements = {
@@ -151,14 +150,17 @@ def test_merged_state_is_shard_count_invariant(scenario):
         ).charged
         for scheme in SCHEMES
     }
-    for shards in (1, 2, 4):
-        sharded = run_sharded_scenario(scenario, shards, engine=engine)
-        assert merged_state(sharded) == merged_state(reference), shards
+    for workers, chunk_ues in [(1, 6), (2, 1), (2, 4), (4, 2)]:
+        stolen = run_stealing_scenario(
+            scenario, workers, chunk_ues=chunk_ues, scheduler=pool
+        )
+        layout = (workers, chunk_ues)
+        assert merged_state(stolen) == merged_state(reference), layout
         for scheme in SCHEMES:
             settled = charge_with_scheme(
-                sharded, scheme, seed=scenario.seed
+                stolen, scheme, seed=scenario.seed
             ).charged
-            assert settled == settlements[scheme], (shards, scheme)
+            assert settled == settlements[scheme], (layout, scheme)
 
 
 def test_population_run_is_deterministic():
@@ -168,12 +170,12 @@ def test_population_run_is_deterministic():
     )
 
 
-def test_run_shard_matches_population_slice():
-    """A shard is exactly the fold of its UE range."""
+def test_chunk_fold_matches_population_slice():
+    """A chunk is exactly the fold of its UE range."""
     scenario = GRID[0]
-    whole = run_shard(ShardSpec(scenario, 0, scenario.n_ues))
-    left = run_shard(ShardSpec(scenario, 0, 2))
-    right = run_shard(ShardSpec(scenario, 2, scenario.n_ues))
+    whole = run_chunk(scenario, 0, scenario.n_ues)
+    left = run_chunk(scenario, 0, 2)
+    right = run_chunk(scenario, 2, scenario.n_ues)
     rejoined = left.merge(right)
     assert rejoined.charging == whole.charging
     assert rejoined.generated_bytes == whole.generated_bytes
@@ -184,47 +186,29 @@ def test_run_shard_matches_population_slice():
 # -- campaign plumbing --------------------------------------------------
 
 
-def test_shard_results_ride_the_campaign_cache(tmp_path):
+def test_population_cells_ride_the_campaign_cache(tmp_path):
     scenario = GRID[0]
     engine = CampaignEngine(workers=1, cache_dir=tmp_path)
-    first = run_sharded_scenario(scenario, 3, engine=engine)
-    executed = engine.totals.executed
-    assert executed == 3
-    second = run_sharded_scenario(scenario, 3, engine=engine)
-    assert engine.totals.executed == executed  # all hits, no recompute
-    assert engine.totals.cache_hits == 3
+    [first] = engine.run_scenarios([scenario])
+    assert engine.totals.executed == 1
+    [second] = engine.run_scenarios([scenario])
+    assert engine.totals.executed == 1  # a hit, no recompute
+    assert engine.totals.cache_hits == 1
     assert merged_state(second) == merged_state(first)
 
 
-def test_failing_shard_raises_campaign_task_error():
-    scenario = GRID[0]
-
-    class Exploding(CampaignEngine):
-        def run_tasks(self, tasks):
-            raise CampaignTaskError(
-                index=0,
-                runner=tasks[0].runner_id,
-                config_hash=tasks[0].key(),
-                failure=TaskFailure(
-                    error_type="RuntimeError",
-                    message="shard exploded",
-                    traceback_text="",
-                ),
-            )
-
-    with pytest.raises(CampaignTaskError):
-        run_sharded_scenario(scenario, 2, engine=Exploding())
+def test_failing_chunk_raises_campaign_task_error(pool):
+    with pytest.raises(CampaignTaskError, match="exploded"):
+        run_stealing_scenario(
+            GRID[0], 2, chunk_ues=3, scheduler=pool, runner=_always_raise
+        )
 
 
-def test_partial_population_is_never_merged():
-    scenario = GRID[0]
-
-    class Lossy(CampaignEngine):
-        def run_tasks(self, tasks):
-            return [None] * len(tasks)
-
+def test_partial_population_is_never_merged(pool):
     with pytest.raises(RuntimeError, match="partial population"):
-        run_sharded_scenario(scenario, 2, engine=Lossy())
+        run_stealing_scenario(
+            GRID[0], 2, chunk_ues=3, scheduler=pool, runner=_first_ue_only
+        )
 
 
 def test_population_rejects_trace_sinks():
@@ -232,7 +216,7 @@ def test_population_rejects_trace_sinks():
     with pytest.raises(ValueError, match="trace"):
         run_scenario(traced)
     with pytest.raises(ValueError, match="trace"):
-        run_sharded_scenario(traced, 2)
+        run_stealing_scenario(traced, 2)
 
 
 def test_population_rejects_fault_hooks():
@@ -249,75 +233,62 @@ def test_n_ues_validation():
         ScenarioConfig(n_ues=2.0)
 
 
-# -- schedule routing ---------------------------------------------------
-
-
 @pytest.mark.parametrize(
     "scenario", GRID, ids=[c.app + "-" + c.mode for c in GRID]
 )
-def test_steal_schedule_matches_in_process_fold(scenario):
-    """The work-stealing path merges to the byte-identical cell."""
-    reference = run_population(scenario)
-    stolen = run_sharded_scenario(
-        scenario, 2, schedule="steal", chunk_ues=2
+def test_stealing_report_lands_in_extras(scenario, pool):
+    stolen = run_stealing_scenario(
+        scenario, 2, chunk_ues=2, scheduler=pool
     )
-    assert merged_state(stolen) == merged_state(reference)
     sharding = stolen.extras["sharding"]
-    assert sharding["schedule"] == "steal"
+    assert sharding["shards"] == sharding["workers"] == 2
     assert sharding["chunk_ues"] == 2
     assert sharding["n_chunks"] == 3
     done = [j for j in sharding["jobs"] if j["status"] == "done"]
     assert len(done) == 3
     # The scheduler ships the config once per worker, not per chunk.
-    assert sharding["dispatch_bytes"] < sharding["static_dispatch_bytes"]
+    assert sharding["dispatch_bytes"] < (
+        sharding["payload_bytes"] * sharding["n_chunks"]
+    )
 
 
-def test_unknown_schedule_rejected():
-    with pytest.raises(ValueError, match="schedule"):
-        run_sharded_scenario(GRID[0], 2, schedule="round-robin")
-
-
-def test_chunk_ues_requires_steal_schedule():
-    with pytest.raises(ValueError, match="chunk_ues"):
-        run_sharded_scenario(GRID[0], 2, chunk_ues=2)
-
-
-def test_steal_schedule_rejects_trace_sinks():
-    traced = replace(GRID[0], trace=True)
-    with pytest.raises(ValueError, match="trace"):
-        run_sharded_scenario(traced, 2, schedule="steal")
+def test_default_chunk_size_follows_the_engaged_workers(pool):
+    scenario = replace(GRID[1], n_ues=40)
+    for workers in (1, 8):
+        sharding = run_stealing_scenario(
+            scenario, workers, scheduler=pool
+        ).extras["sharding"]
+        # Eight workers engage only the pool's four slots.
+        engaged = min(workers, pool.workers)
+        assert sharding["workers"] == engaged
+        assert sharding["chunk_ues"] == default_chunk_ues(40, engaged)
+        assert sharding["n_chunks"] == len(
+            plan_chunks(scenario, sharding["chunk_ues"])
+        )
 
 
 # -- scaling curve ------------------------------------------------------
 
 
 def test_scaling_curve_reports_invariant_points():
-    scenario = replace(GRID[0], n_ues=5)
-    points = scaling_curve(
-        scenario, (1, 2), engine_factory=lambda s: CampaignEngine(workers=1)
-    )
+    scenario = replace(GRID[1], n_ues=5)
+    points = scaling_curve(scenario, (1, 2), chunk_ues=1)
     assert [p.shards for p in points] == [1, 2]
     for point in points:
         assert point.matches_first
         assert point.reconciles
         assert point.events > 0
         assert point.settled == points[0].settled
+        assert point.chunk_ues == 1
+        assert point.cpu_s > 0
         d = point.as_dict()
         assert d["events_per_sec"] == pytest.approx(
             point.events / point.wall_s
         )
 
 
-def test_scaling_curve_over_the_stealing_scheduler():
-    scenario = replace(GRID[1], n_ues=5)
-    points = scaling_curve(scenario, (1, 2), schedule="steal", chunk_ues=1)
-    assert [p.shards for p in points] == [1, 2]
-    for point in points:
-        assert point.matches_first
-        assert point.reconciles
-        assert point.schedule == "steal"
-        assert point.chunk_ues == 1
-        assert point.cpu_s > 0
+def test_scaling_curve_without_counts_measures_nothing():
+    assert scaling_curve(GRID[0], []) == []
 
 
 def test_per_ue_ms_is_wall_based_and_cpu_cost_is_separate():
@@ -332,7 +303,7 @@ def test_per_ue_ms_is_wall_based_and_cpu_cost_is_separate():
         shards=8, n_ues=1000, wall_s=2.0, events=1, bytes=1,
         rss_max_bytes=1, reconciles=True, counted=0.0, received=0.0,
         total_losses=0.0, settled=0.0, legacy_charged=0.0,
-        cpu_s=12.0, schedule="steal", chunk_ues=16,
+        cpu_s=12.0, chunk_ues=16,
     )
     assert point.per_ue_ms == pytest.approx(2.0)        # wall / n_ues
     assert point.cpu_per_ue_ms == pytest.approx(12.0)   # cpu / n_ues
@@ -340,5 +311,4 @@ def test_per_ue_ms_is_wall_based_and_cpu_cost_is_separate():
     assert d["per_ue_ms"] == point.per_ue_ms
     assert d["cpu_per_ue_ms"] == point.cpu_per_ue_ms
     assert d["cpu_s"] == 12.0
-    assert d["schedule"] == "steal"
     assert d["chunk_ues"] == 16

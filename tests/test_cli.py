@@ -3,6 +3,37 @@
 import pytest
 
 from repro.cli import EXPERIMENTS, build_parser, main
+from repro.experiments.campaign import (
+    CampaignEngine,
+    CampaignTask,
+    resolve_engine,
+)
+
+
+def _double(value: int) -> int:
+    return 2 * value
+
+
+def _explode(_value) -> None:
+    raise RuntimeError("first-grid cell exploded")
+
+
+def _two_grids(fast: bool) -> str:
+    """A driver with two grids; the first has a failing cell."""
+    engine = resolve_engine(None)
+    first = engine.run_tasks(
+        [CampaignTask(_double, 1), CampaignTask(_explode, 2)]
+    )
+    second = engine.run_tasks([CampaignTask(_double, 3)])
+    return f"first={first} second={second}"
+
+
+def _two_grids_then_crash(fast: bool) -> str:
+    """Like :func:`_two_grids`, then trips over the failed cell."""
+    engine = resolve_engine(None)
+    [failed] = engine.run_tasks([CampaignTask(_explode, 1)])
+    engine.run_tasks([CampaignTask(_double, 3)])
+    return str(failed + 1)
 
 
 class TestParser:
@@ -19,6 +50,75 @@ class TestParser:
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+
+class TestFailureReport:
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_failures_of_every_grid_are_reported(
+        self, workers, capsys, monkeypatch
+    ):
+        monkeypatch.setitem(EXPERIMENTS, "two-grids", ("two grids", _two_grids))
+        assert main(["run", "two-grids", "--workers", workers]) == 1
+        captured = capsys.readouterr()
+        assert "first=[2, None] second=[6]" in captured.out
+        assert "[campaign] 1 scenario(s) FAILED:" in captured.err
+        assert "first-grid cell exploded" in captured.err
+
+    def test_a_crashing_driver_still_reports_failed_cells(
+        self, capsys, monkeypatch
+    ):
+        monkeypatch.setitem(
+            EXPERIMENTS, "crash", ("crash", _two_grids_then_crash)
+        )
+        with pytest.raises(TypeError):
+            main(["run", "crash"])
+        err = capsys.readouterr().err
+        assert "[campaign] 1 scenario(s) FAILED:" in err
+        assert "first-grid cell exploded" in err
+
+
+    @pytest.mark.parametrize(
+        "experiment",
+        [("two-grids", _two_grids), ("crash", _two_grids_then_crash)],
+        ids=["clean-exit", "crash"],
+    )
+    def test_the_engine_is_closed_on_every_way_out(
+        self, experiment, capsys, monkeypatch
+    ):
+        name, driver = experiment
+        monkeypatch.setitem(EXPERIMENTS, name, (name, driver))
+        closed = []
+        original = CampaignEngine.close
+
+        def recording_close(engine):
+            closed.append(engine._pool is not None)
+            original(engine)
+
+        monkeypatch.setattr(CampaignEngine, "close", recording_close)
+        try:
+            main(["run", name, "--workers", "2"])
+        except TypeError:
+            pass  # the crashing driver
+        assert closed == [True]  # once, with its pool still up
+
+
+class TestScaleOptions:
+    @pytest.mark.parametrize(
+        "option",
+        [["--chunk-ues", "0"], ["--shards", "0"], ["--shards", "2,x"]],
+        ids=["chunk-ues-0", "shards-0", "shards-not-int"],
+    )
+    def test_bad_scale_option_exits_2(self, option, capsys):
+        assert main(["run", "scale", *option]) == 2
+        err = capsys.readouterr().err
+        assert f"{option[0]} must be" in err and "positive" in err
+
+    def test_schedule_flag_is_gone(self, capsys):
+        # One work-stealing schedule: there is nothing left to choose.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["run", "scale", "--schedule", "steal"]
+            )
 
 
 class TestFastRuns:
